@@ -19,6 +19,7 @@ from .energy import (
 from .grid import (
     Grid,
     MacVelocity,
+    NonFiniteError,
     dct2_inverse,
     dct2_transform,
     field_reductions,

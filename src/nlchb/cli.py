@@ -113,8 +113,6 @@ def _run_loop(
             config_text=config.raw_text,
             dt=dt,
         )
-        if csv is not None:
-            csv.close()
         return 2
     finally:
         if csv is not None:

@@ -21,6 +21,7 @@ import numpy as np
 from .grid import (
     Grid,
     MacVelocity,
+    NonFiniteError,
     field_integral,
     gradient_cc,
     h1_seminorm,
@@ -76,7 +77,7 @@ class EnergyLedger:
         if self.rows and not row["t"] > self.rows[-1]["t"]:
             raise ValueError("ledger rows must be strictly increasing in t")
         if not all(np.isfinite(row[c]) for c in LEDGER_COLUMNS):
-            raise ValueError("ledger row contains non-finite entries")
+            raise NonFiniteError("ledger row contains non-finite entries")
         self.rows.append({c: float(row[c]) for c in LEDGER_COLUMNS})
 
     def column(self, name: str) -> np.ndarray:
@@ -89,10 +90,17 @@ class EnergyLedger:
         return lines
 
 
-def e_nl(kernel: KernelGrid, a: np.ndarray, phi: np.ndarray) -> float:
-    """Nonlocal interface energy (a phi, phi) - (phi, J*phi); one convolution."""
+def e_nl(
+    kernel: KernelGrid, a: np.ndarray, phi: np.ndarray, j_phi: np.ndarray | None = None
+) -> float:
+    """Nonlocal interface energy (a phi, phi) - (phi, J*phi).
+
+    Convolves phi unless its convolution `j_phi` is passed in.
+    """
     g = kernel.grid
-    return float(np.sum(a * phi * phi - phi * convolve(kernel, phi)) * g.cell_area)
+    if j_phi is None:
+        j_phi = convolve(kernel, phi)
+    return float(np.sum(a * phi * phi - phi * j_phi) * g.cell_area)
 
 
 def e_local(grid: Grid, phi: np.ndarray) -> float:
@@ -115,15 +123,22 @@ def total_energy(
     material: MaterialParams,
     kernel: KernelGrid | None = None,
     a: np.ndarray | None = None,
+    interface: float | None = None,
 ) -> float:
-    """Total energy E of the coupled state (see module docstring for the display)."""
+    """Total energy E of the coupled state (see module docstring for the display).
+
+    `interface` is the already computed interface energy of phi (e_nl or
+    e_local by mode); when it is None it is computed here.
+    """
     if mode == "nonlocal":
-        if kernel is None or a is None:
-            raise ValueError("nonlocal total energy requires the kernel and a(x)")
-        interface = e_nl(kernel, a, phi)
+        if interface is None:
+            if kernel is None or a is None:
+                raise ValueError("nonlocal total energy requires the kernel and a(x)")
+            interface = e_nl(kernel, a, phi)
         f_weight = 2.0
     elif mode == "local":
-        interface = e_local(grid, phi)
+        if interface is None:
+            interface = e_local(grid, phi)
         f_weight = 1.0
     else:
         raise ValueError(f"unknown mode {mode!r}")

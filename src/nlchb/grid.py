@@ -15,6 +15,7 @@ import numpy as np
 from scipy import fft as _fft
 
 __all__ = [
+    "NonFiniteError",
     "Grid",
     "MacVelocity",
     "dct2_transform",
@@ -32,6 +33,10 @@ __all__ = [
 ]
 
 MIN_CELLS = 8
+
+
+class NonFiniteError(ValueError):
+    """A field or ledger row holds NaN or inf values."""
 
 
 @dataclass(frozen=True)
@@ -85,13 +90,19 @@ class Grid:
 
         These are the exact eigenvalues of the second-order 3-point stencil
         with even ghost reflection, so spectral division inverts the same
-        operator the finite-difference residual checks use.
+        operator the finite-difference residual checks use. The array is built
+        once per grid and returned read-only; copy it before changing it.
         """
-        k = np.arange(self.nx)
-        l = np.arange(self.ny)
-        lx = (2.0 / self.dx**2) * (1.0 - np.cos(np.pi * k / self.nx))
-        ly = (2.0 / self.dy**2) * (1.0 - np.cos(np.pi * l / self.ny))
-        return lx[:, None] + ly[None, :]
+        lam = self.__dict__.get("_laplacian_eigenvalues")
+        if lam is None:
+            k = np.arange(self.nx)
+            l = np.arange(self.ny)
+            lx = (2.0 / self.dx**2) * (1.0 - np.cos(np.pi * k / self.nx))
+            ly = (2.0 / self.dy**2) * (1.0 - np.cos(np.pi * l / self.ny))
+            lam = lx[:, None] + ly[None, :]
+            lam.flags.writeable = False
+            object.__setattr__(self, "_laplacian_eigenvalues", lam)
+        return lam
 
     def zeros(self) -> np.ndarray:
         return np.zeros(self.shape)
@@ -149,7 +160,7 @@ class MacVelocity:
 
 def _check_finite(values: np.ndarray) -> None:
     if not np.all(np.isfinite(values)):
-        raise ValueError("field contains non-finite values")
+        raise NonFiniteError("field contains non-finite values")
 
 
 def dct2_transform(grid: Grid, values: np.ndarray) -> np.ndarray:

@@ -130,11 +130,17 @@ def mu_nonlocal(
     a: np.ndarray,
     potential: PotentialParams,
     material: MaterialParams,
+    j_phi: np.ndarray | None = None,
 ) -> np.ndarray:
-    """mu = a phi - J*phi + eta_f F'(phi) + l_c theta (pointwise, no smoothing)."""
+    """mu = a phi - J*phi + eta_f F'(phi) + l_c theta (pointwise, no smoothing).
+
+    Convolves phi unless its convolution `j_phi` is passed in.
+    """
     if phi.shape != kernel.grid.shape or theta.shape != kernel.grid.shape:
         raise ValueError("mu_nonlocal fields must live on the kernel grid")
-    return a * phi - convolve(kernel, phi) + potential.eta_f * potential.df(phi) + material.l_c * theta
+    if j_phi is None:
+        j_phi = convolve(kernel, phi)
+    return a * phi - j_phi + potential.eta_f * potential.df(phi) + material.l_c * theta
 
 
 def mu_local(

@@ -43,6 +43,7 @@ from .energy import (
 from .grid import (
     Grid,
     MacVelocity,
+    NonFiniteError,
     centers_to_xfaces,
     centers_to_yfaces,
     dct2_inverse,
@@ -50,7 +51,7 @@ from .grid import (
     helmholtz_solve,
     laplacian_neumann,
 )
-from .kernel import KernelGrid, calibrate_mollifier, compute_a, sample_kernel
+from .kernel import KernelGrid, calibrate_mollifier, compute_a, convolve, sample_kernel
 from .physics import (
     MaterialParams,
     PotentialParams,
@@ -88,7 +89,14 @@ class BlowUpError(RuntimeError):
 
 @dataclass
 class SimState:
-    """Time-stepped solution triple plus the last chemical potential."""
+    """Time-stepped solution triple plus its chemical potential.
+
+    `mu` is the chemical potential of (phi, theta), set by a ledgered
+    `advance` and read back by the next `step_ch`. It is None for a state that
+    `advance` did not produce (initial or resumed) or produced without a
+    ledger; `step_ch` then computes it. A caller that replaces phi or theta
+    must reset mu to None.
+    """
 
     t: float
     step: int
@@ -190,7 +198,21 @@ class Model:
             return e_nl(self.kernel, self.a, phi)
         return e_local(self.grid, phi)
 
-    def total_energy(self, state: "SimState") -> float:
+    def mu_and_interface(self, phi: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, float]:
+        """`chemical_potential` and `interface_energy` of one state, with one J*phi."""
+        if self.mode == "nonlocal":
+            j_phi = convolve(self.kernel, phi)
+            return (
+                mu_nonlocal(phi, theta, self.kernel, self.a, self.potential, self.material, j_phi),
+                e_nl(self.kernel, self.a, phi, j_phi),
+            )
+        return (
+            mu_local(self.grid, phi, theta, self.potential, self.material),
+            e_local(self.grid, phi),
+        )
+
+    def total_energy(self, state: "SimState", interface: float | None = None) -> float:
+        """E of `state`; `interface` is its interface energy when already known."""
         return total_energy(
             self.grid,
             state.phi,
@@ -201,6 +223,7 @@ class Model:
             self.material,
             self.kernel,
             self.a,
+            interface,
         )
 
 
@@ -288,14 +311,17 @@ def advect_scalar(grid: Grid, vel: MacVelocity, c: np.ndarray) -> np.ndarray:
 def step_ch(
     model: Model, state: SimState, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One stabilized IMEX update of phi; returns (phi_next, mu_half)."""
+    """One stabilized IMEX update of phi; returns (phi_next, mu_half).
+
+    The nonlocal branch reads the old state's mu from `state.mu` when set.
+    """
     g = model.grid
     S = model.stabilization
     phi, theta = state.phi, state.theta
     adv = advect_scalar(g, state.vel, phi) if state.vel.max_speed() > 0.0 else 0.0
 
     if model.mode == "nonlocal":
-        mu_n = model.chemical_potential(phi, theta)
+        mu_n = state.mu if state.mu is not None else model.chemical_potential(phi, theta)
         rhs = phi / dt - adv + laplacian_neumann(g, mu_n - S * phi)
         phi_next = helmholtz_solve(g, 1.0 / dt, S, rhs)
         mu_half = mu_n + S * (phi_next - phi)
@@ -515,6 +541,7 @@ def suggest_dt(model: Model, state: SimState, config: SolverConfig) -> float:
 def _ledger_row(
     model: Model,
     state_next: SimState,
+    interface: float,
     e_prev: float,
     dt: float,
     forcing: Forcing,
@@ -522,7 +549,7 @@ def _ledger_row(
     g = model.grid
     mat = model.material
     mu_next = state_next.mu
-    e_next = model.total_energy(state_next)
+    e_next = model.total_energy(state_next, interface)
     diss = dissipation(g, state_next.phi, mu_next, state_next.vel, state_next.theta, mat)
     works = work_terms(
         g,
@@ -538,7 +565,7 @@ def _ledger_row(
     row = {
         "t": state_next.t,
         "E_total": e_next,
-        "E_interface": model.interface_energy(state_next.phi),
+        "E_interface": interface,
         "F_integral": model.potential.eta_f
         * float(np.sum(model.potential.f(state_next.phi)) * g.cell_area),
         "kinetic": float((np.sum(state_next.vel.u**2) + np.sum(state_next.vel.v**2)) * g.cell_area)
@@ -576,12 +603,10 @@ def advance(
         phi_next, mu_half = step_ch(model, state, dt)
         theta_next = step_heat(model, state, phi_next, dt, forcing.z_at(g, state.t))
         vel_next = step_ns(model, state, phi_next, theta_next, mu_half, dt, forcing.q_at(g, state.t))
-    except ValueError as exc:
+    except NonFiniteError as exc:
         # overflow inside a sub-step surfaces as a finiteness error; report it
         # as a blow-up carrying the last good state
-        if "non-finite" in str(exc):
-            raise BlowUpError(f"step diverged: {exc}", state) from exc
-        raise
+        raise BlowUpError(f"step diverged: {exc}", state) from exc
 
     state_next = SimState(t=t_next, step=state.step + 1, phi=phi_next, theta=theta_next, vel=vel_next)
     if not state_next.is_finite():
@@ -598,15 +623,13 @@ def advance(
     energy_next: float | None = None
     if ledger is not None:
         try:
-            state_next.mu = model.chemical_potential(phi_next, theta_next)
+            state_next.mu, interface = model.mu_and_interface(phi_next, theta_next)
             if e_prev is None:
                 e_prev = model.total_energy(state)
-            row, energy_next = _ledger_row(model, state_next, e_prev, dt, forcing)
+            row, energy_next = _ledger_row(model, state_next, interface, e_prev, dt, forcing)
             ledger.append(row)
-        except ValueError as exc:
-            if "non-finite" in str(exc):
-                raise BlowUpError(f"step diverged: {exc}", state) from exc
-            raise
+        except NonFiniteError as exc:
+            raise BlowUpError(f"step diverged: {exc}", state) from exc
     return state_next, energy_next
 
 

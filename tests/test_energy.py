@@ -14,9 +14,9 @@ from nlchb.energy import (
     mac_l2_sq,
     total_energy,
 )
-from nlchb.grid import MacVelocity, dct2_inverse, dct2_transform, make_grid
-from nlchb.kernel import calibrate_mollifier, compute_a, sample_kernel
-from nlchb.physics import MaterialParams, PotentialParams
+from nlchb.grid import MacVelocity, NonFiniteError, dct2_inverse, dct2_transform, make_grid
+from nlchb.kernel import calibrate_mollifier, compute_a, convolve, sample_kernel
+from nlchb.physics import MaterialParams, PotentialParams, mu_nonlocal
 
 from test_kernel import double_sum_energy
 
@@ -45,6 +45,19 @@ class TestInterfaceEnergies:
         rng = np.random.default_rng(5)
         for _ in range(10):
             assert e_nl(kernel, a, rng.standard_normal(grid.shape)) >= 0.0
+
+    def test_precomputed_convolution(self, setup16):
+        grid, kernel, a = setup16
+        rng = np.random.default_rng(4)
+        phi = rng.standard_normal(grid.shape)
+        theta = rng.standard_normal(grid.shape)
+        j_phi = convolve(kernel, phi)
+        assert e_nl(kernel, a, phi, j_phi) == e_nl(kernel, a, phi)
+        pot, mat = PotentialParams(), MaterialParams()
+        assert np.array_equal(
+            mu_nonlocal(phi, theta, kernel, a, pot, mat, j_phi),
+            mu_nonlocal(phi, theta, kernel, a, pot, mat),
+        )
 
     def test_e_local_constant_zero(self):
         grid = make_grid(16, 16, 1.0, 1.0)
@@ -105,6 +118,19 @@ class TestTotalEnergy:
                 PotentialParams(),
                 MaterialParams(),
             )
+
+    @pytest.mark.parametrize("mode", ["nonlocal", "local"])
+    def test_precomputed_interface_term(self, setup16, mode):
+        grid, kernel, a = setup16
+        rng = np.random.default_rng(5)
+        phi = rng.standard_normal(grid.shape)
+        theta = rng.standard_normal(grid.shape)
+        vel = MacVelocity(grid)
+        vel.u[1:-1, :] = rng.standard_normal((grid.nx - 1, grid.ny))
+        args = (mode, PotentialParams(), MaterialParams(l_c=0.5), kernel, a)
+        interface = e_nl(kernel, a, phi) if mode == "nonlocal" else e_local(grid, phi)
+        given = total_energy(grid, phi, theta, vel, *args, interface=interface)
+        assert given == total_energy(grid, phi, theta, vel, *args)
 
     def test_transform_round_trip_invariance(self, setup16):
         grid, kernel, a = setup16
@@ -211,6 +237,14 @@ class TestLedger:
         row["E_total"] = np.nan
         with pytest.raises(ValueError):
             led.append(row)
+
+    def test_non_finite_raises_typed_error(self):
+        led = EnergyLedger()
+        row = self.make_row(0.0)
+        row["dissipation"] = np.nan
+        with pytest.raises(NonFiniteError):
+            led.append(row)
+        assert led.rows == []
 
     def test_csv_header(self):
         led = EnergyLedger()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from nlchb.grid import (
     Grid,
     MacVelocity,
+    NonFiniteError,
     dct2_inverse,
     dct2_transform,
     field_reductions,
@@ -95,6 +96,14 @@ class TestTransforms:
         with pytest.raises(ValueError):
             dct2_transform(g, f)
 
+    def test_non_finite_error_is_typed(self):
+        g = make_grid(8, 8, 1.0, 1.0)
+        f = g.zeros()
+        f[2, 5] = np.inf
+        for op in (dct2_transform, gradient_cc, field_reductions):
+            with pytest.raises(NonFiniteError):
+                op(g, f)
+
 
 class TestLaplacian:
     def test_constant_in_kernel(self):
@@ -114,6 +123,30 @@ class TestLaplacian:
         f = np.random.default_rng(7).standard_normal(g.shape)
         out = laplacian_neumann(g, f)
         assert abs(out.mean()) <= 1e-12 * max(1.0, np.abs(out).max())
+
+
+class TestLaplacianEigenvalues:
+    def test_cached_read_only(self):
+        g = make_grid(16, 24, 1.5, 1.0)
+        lam = g.laplacian_eigenvalues()
+        assert g.laplacian_eigenvalues() is lam
+        assert not lam.flags.writeable
+        with pytest.raises(ValueError):
+            lam[0, 0] = 1.0
+
+    def test_values_match_stencil_formula(self):
+        g = make_grid(16, 24, 1.5, 1.0)
+        lx = (2.0 / g.dx**2) * (1.0 - np.cos(np.pi * np.arange(g.nx) / g.nx))
+        ly = (2.0 / g.dy**2) * (1.0 - np.cos(np.pi * np.arange(g.ny) / g.ny))
+        assert np.array_equal(g.laplacian_eigenvalues(), lx[:, None] + ly[None, :])
+
+    def test_cache_is_per_grid_and_not_a_field(self):
+        g1 = make_grid(16, 16, 1.0, 1.0)
+        g2 = make_grid(16, 16, 2.0, 1.0)
+        g1.laplacian_eigenvalues()
+        assert g1 == make_grid(16, 16, 1.0, 1.0)
+        assert hash(g1) == hash(make_grid(16, 16, 1.0, 1.0))
+        assert not np.array_equal(g1.laplacian_eigenvalues(), g2.laplacian_eigenvalues())
 
 
 class TestHelmholtz:

@@ -1,13 +1,15 @@
 """Time-stepper tests: fixed points, conservation, one-mode recurrences, order."""
 
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 from conftest import smooth_flow_state, spinodal_material, spinodal_potential, spinodal_state
+import nlchb.kernel
 from nlchb.energy import EnergyLedger
-from nlchb.grid import MacVelocity, make_grid
+from nlchb.grid import MacVelocity, NonFiniteError, make_grid
 from nlchb.physics import MaterialParams, PotentialParams
 from nlchb.solver import (
     BlowUpError,
@@ -30,6 +32,23 @@ def build_model(grid, mode="nonlocal", eps=0.2, pot=None, mat=None, S=None):
         dt=1e-3, t_end=1.0, mode=mode, epsilon=eps, gamma=0.5, stabilization=S
     )
     return Model.build(grid, pot or spinodal_potential(), mat or spinodal_material(), cfg)
+
+
+def count_convolutions(monkeypatch):
+    """Wrap kernel.convolve at every nlchb binding; returns the list of calls."""
+    raw = nlchb.kernel.convolve
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return raw(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "nlchb" or name.startswith("nlchb.")):
+            for key, value in list(vars(module).items()):
+                if value is raw:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
 
 
 def random_divfree(grid, seed=0, amp=1.0):
@@ -242,6 +261,36 @@ class TestAdvance:
                     state, _ = advance(model, state, 10.0)
         assert info.value.state.is_finite()
 
+    def test_blow_up_carries_last_good_state(self, grid32):
+        mat = MaterialParams(
+            K_cap=10.0, l_c=0.5, l_h=0.5, alpha2=5.0, g=(0.0, -10.0), nu_min=0.01, nu_max=0.01
+        )
+        model = build_model(grid32, mat=mat)
+        state = spinodal_state(grid32)
+        state.theta = np.cos(np.pi * grid32.cell_centers()[0])
+        ledger = EnergyLedger()
+        with pytest.raises(BlowUpError) as info:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                for _ in range(200):
+                    state, _ = advance(model, state, 10.0, ledger=ledger)
+        assert info.value.state is state
+        assert state.is_finite()
+        assert len(ledger.rows) == state.step
+
+    def test_overflow_is_typed_non_finite_blow_up(self, grid32):
+        # F'(phi) overflows to inf, which the spectral solve's finiteness check
+        # reports as NonFiniteError; advance turns it into a blow-up
+        model = build_model(grid32)
+        state = spinodal_state(grid32)
+        state.phi = 1e120 * state.phi
+        with pytest.raises(BlowUpError) as info:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                advance(model, state, 1e-3, ledger=EnergyLedger())
+        assert info.value.state is state
+        assert isinstance(info.value.__cause__, NonFiniteError)
+
     def test_ledger_rows_appended(self, grid32):
         model = build_model(grid32)
         cfg = SolverConfig(dt=1e-3, t_end=5e-3, mode="nonlocal", epsilon=0.2, gamma=0.5)
@@ -292,6 +341,84 @@ class TestAdvance:
         assert abs(float(state.phi.mean()) - m0) <= 1e-12
         assert np.abs(state.vel.divergence()).max() <= 1e-10
         assert state.vel.max_speed() > 0.0  # couplings actually stirred the flow
+
+
+def coupled_flow_setup(grid, mode):
+    """Model, moving initial state and forcing with every coupling active."""
+    mat = MaterialParams(
+        K_cap=0.05, l_c=0.5, l_h=0.5, kappa=0.5,
+        nu_min=0.5, nu_max=1.5, alpha1=0.2, alpha2=0.5, g=(0.3, -1.0),
+    )
+    model = build_model(grid, mode=mode, mat=mat)
+    return model, smooth_flow_state(grid), Forcing.constant(qx=0.05, z=0.1)
+
+
+def assert_same_state(s1, s2):
+    assert s1.t == s2.t and s1.step == s2.step
+    assert np.array_equal(s1.phi, s2.phi)
+    assert np.array_equal(s1.theta, s2.theta)
+    assert np.array_equal(s1.vel.u, s2.vel.u)
+    assert np.array_equal(s1.vel.v, s2.vel.v)
+
+
+@pytest.mark.parametrize("mode", ["nonlocal", "local"])
+class TestSharedChemicalPotential:
+    """advance derives mu, E_interface and E_total of a state from one J*phi,
+    and the next step_ch reads that mu back; none of it may change a bit."""
+
+    dt = 5e-4
+    steps = 4
+
+    def test_ledger_does_not_change_states(self, grid32, mode):
+        model, state0, forcing = coupled_flow_setup(grid32, mode)
+        plain, kept = state0, state0.copy()
+        ledger = EnergyLedger()
+        e_prev = model.total_energy(kept)
+        assert plain.vel.max_speed() > 0.0
+        for _ in range(self.steps):
+            plain, energy = advance(model, plain, self.dt, forcing)
+            assert energy is None
+            kept, e_prev = advance(model, kept, self.dt, forcing, ledger=ledger, e_prev=e_prev)
+            assert_same_state(plain, kept)
+        assert len(ledger.rows) == self.steps
+
+    def test_ledger_energies_match_model(self, grid32, mode):
+        model, state, forcing = coupled_flow_setup(grid32, mode)
+        ledger = EnergyLedger()
+        e_prev = model.total_energy(state)
+        for _ in range(self.steps):
+            state, e_prev = advance(model, state, self.dt, forcing, ledger=ledger, e_prev=e_prev)
+            row = ledger.rows[-1]
+            assert row["E_interface"] == model.interface_energy(state.phi)
+            assert row["E_total"] == model.total_energy(state)
+            assert e_prev == row["E_total"]
+            assert np.array_equal(state.mu, model.chemical_potential(state.phi, state.theta))
+
+    def test_missing_mu_is_recomputed(self, grid32, mode):
+        model, state, forcing = coupled_flow_setup(grid32, mode)
+        ledger = EnergyLedger()
+        state, e_prev = advance(model, state, self.dt, forcing, ledger=ledger)
+        assert state.mu is not None
+        resumed = state.copy()
+        resumed.mu = None
+        for _ in range(self.steps):
+            state, e_prev = advance(model, state, self.dt, forcing, ledger=ledger, e_prev=e_prev)
+            resumed, _ = advance(model, resumed, self.dt, forcing, ledger=EnergyLedger())
+            assert_same_state(state, resumed)
+            assert np.array_equal(state.mu, resumed.mu)
+
+    def test_one_convolution_per_ledgered_step(self, grid32, mode, monkeypatch):
+        model, state, forcing = coupled_flow_setup(grid32, mode)
+        ledger = EnergyLedger()
+        state, e_prev = advance(model, state, self.dt, forcing, ledger=ledger)
+        calls = count_convolutions(monkeypatch)
+        for k in range(1, self.steps):
+            state, e_prev = advance(model, state, self.dt, forcing, ledger=ledger, e_prev=e_prev)
+            assert len(calls) == (k if mode == "nonlocal" else 0)
+        # a state without mu costs one more convolution, in its step_ch
+        state.mu = None
+        advance(model, state, self.dt, forcing, ledger=ledger, e_prev=e_prev)
+        assert len(calls) == (self.steps + 1 if mode == "nonlocal" else 0)
 
 
 class TestEnergyDecay:
