@@ -57,10 +57,9 @@ from .solver import (
     Forcing,
     Model,
     SimState,
-    SolverConfig,
     advance,
+    integrate,
     project,
-    run_to,
     step_ch,
     step_heat,
     step_ns,

@@ -1,8 +1,7 @@
 """Command-line entry points: run, sweep-eps, gamma-sweep, oracle, validate, resume.
 
-Environment overrides: NLCHB_OUTPUT_DIR replaces the configured output
-directory; NLCHB_THREADS sets the worker count for sweep commands (individual
-runs always execute single-threaded for bit-reproducibility).
+Environment override: NLCHB_OUTPUT_DIR replaces the configured output
+directory.
 
 Exit codes: 0 success, 1 usage/config/check failure, 2 solver blow-up (with a
 diagnostic snapshot and flushed ledger on disk).
@@ -28,7 +27,7 @@ from .kernel import (
 )
 from .limits import gamma_sweep, solution_sweep
 from .physics import validate_assumptions
-from .solver import BlowUpError, Forcing, Model, SimState, advance, suggest_dt
+from .solver import BlowUpError, Forcing, Model, SimState, integrate, suggest_dt
 from .snapshots import LedgerCsvWriter, read_snapshot, write_ppm, write_snapshot
 
 ORACLE_MAX_CELLS = 32 * 32
@@ -46,26 +45,38 @@ def _output_dir(config: RunConfig) -> str:
     return out
 
 
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("NLCHB_THREADS", "1")))
-    except ValueError:
-        return 1
+def _save(config: RunConfig, path: str, state: SimState, dt: float) -> None:
+    """Snapshot of `state` that embeds the run config and dt, so it can be resumed."""
+    write_snapshot(
+        path,
+        state,
+        config.grid,
+        mode=config.mode,
+        epsilon=config.epsilon,
+        gamma=config.gamma,
+        config_text=config.raw_text,
+        dt=dt,
+    )
+
+
+def _cut_ledger(path: str, t: float) -> None:
+    """Keep the header and the complete rows of the ledger CSV with time <= t.
+
+    The time is the first column, written with repr(), so it reads back exactly.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.readlines()
+    keep = lines[:1] + [
+        line for line in lines[1:] if line.endswith("\n") and float(line.split(",", 1)[0]) <= t
+    ]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(keep)
 
 
 def _emit_outputs(config: RunConfig, outdir: str, state: SimState, dt: float) -> None:
     tag = f"{state.step:08d}"
     if config.output["write_snapshots"]:
-        write_snapshot(
-            os.path.join(outdir, f"snapshot_{tag}.bin"),
-            state,
-            config.grid,
-            mode=config.mode,
-            epsilon=config.epsilon,
-            gamma=config.gamma,
-            config_text=config.raw_text,
-            dt=dt,
-        )
+        _save(config, os.path.join(outdir, f"snapshot_{tag}.bin"), state, dt)
     if config.output["write_images"]:
         write_ppm(os.path.join(outdir, f"phi_{tag}.ppm"), state.phi)
         write_ppm(os.path.join(outdir, f"theta_{tag}.ppm"), state.theta)
@@ -84,50 +95,34 @@ def _run_loop(
     if config.output["write_csv"]:
         csv = LedgerCsvWriter(os.path.join(outdir, "ledger.csv"), append=append_csv)
     ledger = EnergyLedger()
-    e_prev = model.total_energy(state)
+
+    def on_step(state: SimState) -> None:
+        if csv is not None:
+            csv.write_row(ledger.rows[-1])
+        ledger.rows.clear()
+        if state.step % config.cadence == 0:
+            _emit_outputs(config, outdir, state, dt)
+
     try:
-        while state.t < config.t_end - 0.5 * dt:
-            state, e_prev = advance(
-                model,
-                state,
-                dt,
-                forcing,
-                ledger=ledger,
-                e_prev=e_prev,
-                check_invariants=config.check_invariants,
-            )
-            if csv is not None:
-                csv.write_row(ledger.rows[-1])
-                ledger.rows.clear()
-            if state.step % config.cadence == 0:
-                _emit_outputs(config, outdir, state, dt)
+        state = integrate(
+            model,
+            state,
+            dt,
+            config.t_end,
+            forcing,
+            ledger,
+            check_invariants=config.check_invariants,
+            on_step=on_step,
+        )
     except BlowUpError as exc:
         print(f"blow-up at t={exc.state.t:.6g} (step {exc.state.step}): {exc}", file=sys.stderr)
-        write_snapshot(
-            os.path.join(outdir, "blowup.bin"),
-            exc.state,
-            config.grid,
-            mode=config.mode,
-            epsilon=config.epsilon,
-            gamma=config.gamma,
-            config_text=config.raw_text,
-            dt=dt,
-        )
+        _save(config, os.path.join(outdir, "blowup.bin"), exc.state, dt)
         return 2
     finally:
         if csv is not None:
             csv.close()
 
-    write_snapshot(
-        os.path.join(outdir, "checkpoint.bin"),
-        state,
-        config.grid,
-        mode=config.mode,
-        epsilon=config.epsilon,
-        gamma=config.gamma,
-        config_text=config.raw_text,
-        dt=dt,
-    )
+    _save(config, os.path.join(outdir, "checkpoint.bin"), state, dt)
     print(f"finished at t={state.t:.6g} after {state.step} steps")
     return 0
 
@@ -148,7 +143,7 @@ def cmd_run(config_path: str) -> int:
     state = config.initial_state()
     dt = config.dt
     if dt is None:
-        dt = suggest_dt(model, state, config.solver_config(dt=1.0))
+        dt = suggest_dt(model, state, config.safety)
         print(f"auto dt = {dt:.6g}")
     _emit_outputs(config, outdir, state, dt)
     return _run_loop(config, model, state, config.forcing(), dt, outdir, append_csv=False)
@@ -173,7 +168,11 @@ def cmd_resume(checkpoint_path: str) -> int:
     if state.t >= config.t_end - 0.5 * dt:
         print("checkpoint already at or beyond t_end; nothing to do")
         return 0
-    has_csv = os.path.exists(os.path.join(outdir, "ledger.csv"))
+    csv_path = os.path.join(outdir, "ledger.csv")
+    has_csv = os.path.exists(csv_path)
+    if has_csv:
+        # a mid-run snapshot is older than the ledger's last rows
+        _cut_ledger(csv_path, state.t)
     return _run_loop(config, model, state, config.forcing(), dt, outdir, append_csv=has_csv)
 
 
@@ -218,7 +217,6 @@ def cmd_sweep_eps(config_path: str, eps_list: list[float]) -> int:
         dt=config.dt,
         stabilization=config.stabilization,
         safety=config.safety,
-        workers=_workers(),
         keep_ledgers=True,
     )
     ledgers = report.metadata.pop("ledgers", {})

@@ -17,7 +17,7 @@ import numpy as np
 
 from .grid import Grid, MacVelocity, make_grid
 from .physics import MaterialParams, PotentialParams
-from .solver import Forcing, Model, SimState, SolverConfig
+from .solver import Forcing, Model, SimState
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "DEFAULT_CONFIG_TEXT"]
 
@@ -158,22 +158,17 @@ class RunConfig:
     raw_text: str = ""
     base_dir: str = "."
 
-    def solver_config(self, dt: float) -> SolverConfig:
-        return SolverConfig(
-            dt=dt,
-            t_end=self.t_end,
+    def build_model(self) -> Model:
+        return Model.build(
+            self.grid,
+            self.potential,
+            self.material,
             mode=self.mode,
             epsilon=self.epsilon,
             gamma=self.gamma,
             shape_id=self.shape_id,
             stabilization=self.stabilization,
-            safety=self.safety,
-            cadence=self.cadence,
-            check_invariants=self.check_invariants,
         )
-
-    def build_model(self) -> Model:
-        return Model.build(self.grid, self.potential, self.material, self.solver_config(dt=1.0))
 
     def initial_state(self) -> SimState:
         from .snapshots import read_snapshot
@@ -235,7 +230,7 @@ class RunConfig:
         elif fs["z_preset"] == "file":
             state, _ = read_snapshot(os.path.join(self.base_dir, fs["z_file"]), g)
             z = state.theta
-        return Forcing.from_fields(q=q, z=z)
+        return Forcing(q=q, z=z)
 
 
 def _parse_lines(text: str, errors: list[str]) -> dict[str, dict[str, str]]:

@@ -13,7 +13,6 @@ Convergence is reported as error and ratio tables, never as fitted rates.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +21,7 @@ from .energy import EnergyLedger, e_local, e_nl, total_energy
 from .grid import Grid, gradient_cc
 from .kernel import calibrate_mollifier, compute_a, convolve, sample_kernel
 from .physics import MaterialParams, PotentialParams
-from .solver import BlowUpError, Model, SimState, SolverConfig, advance, suggest_dt
+from .solver import BlowUpError, Model, SimState, integrate, suggest_dt
 
 __all__ = [
     "SweepReport",
@@ -170,41 +169,24 @@ class _RunResult:
 
 
 def _run_one(
-    grid: Grid,
-    potential: PotentialParams,
-    material: MaterialParams,
-    mode: str,
-    eps: float,
-    gamma: float,
-    shape_id: str,
+    model: Model,
     state0: SimState,
     dt: float,
     n_steps: int,
     sample_every: int,
-    stabilization: float | None,
     keep_ledger: bool,
 ) -> _RunResult:
-    cfg = SolverConfig(
-        dt=dt,
-        t_end=n_steps * dt,
-        mode=mode,
-        epsilon=eps,
-        gamma=gamma,
-        shape_id=shape_id,
-        stabilization=stabilization,
-    )
-    model = Model.build(grid, potential, material, cfg)
-    state = state0.copy()
     ledger = EnergyLedger() if keep_ledger else None
-    e_prev = model.total_energy(state) if keep_ledger else None
-    samples = [(state.phi.copy(), state.theta.copy(), state.vel.u.copy(), state.vel.v.copy())]
+    samples = [(state0.phi.copy(), state0.theta.copy(), state0.vel.u.copy(), state0.vel.v.copy())]
+
+    def sample(state: SimState) -> None:
+        if (state.step - state0.step) % sample_every == 0:
+            samples.append(
+                (state.phi.copy(), state.theta.copy(), state.vel.u.copy(), state.vel.v.copy())
+            )
+
     try:
-        for k in range(n_steps):
-            state, e_prev = advance(model, state, dt, ledger=ledger, e_prev=e_prev)
-            if (k + 1) % sample_every == 0:
-                samples.append(
-                    (state.phi.copy(), state.theta.copy(), state.vel.u.copy(), state.vel.v.copy())
-                )
+        state = integrate(model, state0, dt, state0.t + n_steps * dt, ledger=ledger, on_step=sample)
     except BlowUpError:
         return _RunResult(samples=None, state=None, ledger=ledger, blew_up=True)
     return _RunResult(samples=samples, state=state, ledger=ledger)
@@ -223,7 +205,6 @@ def solution_sweep(
     stabilization: float | None = None,
     safety: float = 0.4,
     sample_count: int = 200,
-    workers: int = 1,
     keep_ledgers: bool = False,
 ) -> SweepReport:
     """Run the nonlocal system per epsilon and a local reference; tabulate distances.
@@ -235,31 +216,32 @@ def solution_sweep(
     marked invalid and excluded from ratio tables.
     """
     eps = _check_eps_list(eps_list)
-    if dt is None:
-        cfg0 = SolverConfig(
-            dt=1.0, t_end=t_end, mode="nonlocal", epsilon=eps[-1], gamma=gamma,
-            shape_id=shape_id, stabilization=stabilization, safety=safety,
+
+    def build(mode: str, e: float) -> Model:
+        return Model.build(
+            grid, potential, material, mode=mode, epsilon=e, gamma=gamma,
+            shape_id=shape_id, stabilization=stabilization,
         )
-        model0 = Model.build(grid, potential, material, cfg0)
-        dt = suggest_dt(model0, state0, cfg0)
+
+    # with dt auto, the smallest-eps model sets dt and is kept for its own run
+    smallest = None
+    if dt is None:
+        smallest = build("nonlocal", eps[-1])
+        dt = suggest_dt(smallest, state0, safety)
     n_steps = max(1, int(round(t_end / dt)))
     sample_every = max(1, n_steps // max(2, sample_count))
 
-    def run(mode: str, e: float) -> _RunResult:
-        return _run_one(
-            grid, potential, material, mode, e, gamma, shape_id,
-            state0, dt, n_steps, sample_every, stabilization, keep_ledgers,
-        )
+    def run(model: Model) -> _RunResult:
+        return _run_one(model, state0, dt, n_steps, sample_every, keep_ledgers)
 
-    ref = run("local", eps[0])
+    ref = run(build("local", eps[0]))
     if ref.blew_up:
         raise RuntimeError("local reference run diverged; sweep aborted")
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda e: run("nonlocal", e), eps))
-    else:
-        results = [run("nonlocal", e) for e in eps]
+    results = [
+        run(smallest if e == eps[-1] and smallest is not None else build("nonlocal", e))
+        for e in eps
+    ]
 
     e_ref_local = total_energy(
         grid, ref.state.phi, ref.state.theta, ref.state.vel, "local", potential, material

@@ -26,7 +26,7 @@ liberty taken with the continuous formulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import fft as _fft
@@ -64,7 +64,6 @@ from .physics import (
 __all__ = [
     "BlowUpError",
     "SimState",
-    "SolverConfig",
     "Model",
     "Forcing",
     "step_ch",
@@ -73,7 +72,7 @@ __all__ = [
     "project",
     "advance",
     "suggest_dt",
-    "run_to",
+    "integrate",
 ]
 
 SUGGEST_DT_CAP = 1.0
@@ -91,11 +90,12 @@ class BlowUpError(RuntimeError):
 class SimState:
     """Time-stepped solution triple plus its chemical potential.
 
-    `mu` is the chemical potential of (phi, theta), set by a ledgered
-    `advance` and read back by the next `step_ch`. It is None for a state that
-    `advance` did not produce (initial or resumed) or produced without a
-    ledger; `step_ch` then computes it. A caller that replaces phi or theta
-    must reset mu to None.
+    `mu` is the chemical potential of (phi, theta), read back by the next
+    `step_ch`. A ledgered `integrate` sets it on its starting state and a
+    ledgered `advance` on every state it produces, both from the J*phi that
+    also gives the interface energy. It is None for an initial or resumed
+    state outside such a run and after an unledgered step; `step_ch` then
+    computes it. A caller that replaces phi or theta must reset mu to None.
     """
 
     t: float
@@ -123,32 +123,6 @@ class SimState:
         )
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Step-size, horizon, mode, and stabilization controls."""
-
-    dt: float
-    t_end: float
-    mode: str = "nonlocal"
-    epsilon: float = 0.1
-    gamma: float = 0.5
-    shape_id: str = "bump"
-    stabilization: float | None = None  # None -> default rule
-    safety: float = 0.4
-    cadence: int = 50
-    check_invariants: bool = False
-
-    def __post_init__(self) -> None:
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.mode not in ("nonlocal", "local"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.stabilization is not None and self.stabilization < 0.0:
-            raise ValueError("stabilization must be nonnegative")
-        if not 0.0 < self.safety <= 1.0:
-            raise ValueError("safety factor must lie in (0, 1]")
-
-
 @dataclass
 class Model:
     """Grid, physics, kernel data, and the resolved stabilization constant."""
@@ -167,22 +141,31 @@ class Model:
         grid: Grid,
         potential: PotentialParams,
         material: MaterialParams,
-        config: SolverConfig,
+        *,
+        mode: str = "nonlocal",
+        epsilon: float = 0.1,
+        gamma: float = 0.5,
+        shape_id: str = "bump",
+        stabilization: float | None = None,  # None -> default rule
     ) -> "Model":
+        if mode not in ("nonlocal", "local"):
+            raise ValueError(f"unknown mode {mode!r}")
+        if stabilization is not None and stabilization < 0.0:
+            raise ValueError("stabilization must be nonnegative")
         kernel = None
         a = None
-        if config.mode == "nonlocal":
-            mollifier = calibrate_mollifier(config.gamma, d=2, shape_id=config.shape_id)
-            kernel = sample_kernel(mollifier, config.epsilon, grid)
+        if mode == "nonlocal":
+            mollifier = calibrate_mollifier(gamma, d=2, shape_id=shape_id)
+            kernel = sample_kernel(mollifier, epsilon, grid)
             a = compute_a(kernel)
-        S = config.stabilization
+        S = stabilization
         if S is None:
             S = default_stabilization(potential, a)
         return cls(
             grid=grid,
             potential=potential,
             material=material,
-            mode=config.mode,
+            mode=mode,
             kernel=kernel,
             a=a,
             stabilization=float(S),
@@ -242,63 +225,11 @@ def default_stabilization(potential: PotentialParams, a: np.ndarray | None) -> f
 
 @dataclass(frozen=True)
 class Forcing:
-    """External momentum force q (faces) and heat source z (centers).
+    """External momentum force q (x- and y-face arrays) and heat source z
+    (centers); a part left as None is zero."""
 
-    Presets: zero, constant, and a single standing cosine mode; file-backed
-    fields are wired up by the i/o layer and arrive here as constant arrays.
-    """
-
-    q_fn: object = None  # callable (grid, t) -> (qx, qy) or None
-    z_fn: object = None  # callable (grid, t) -> z or None
-
-    @classmethod
-    def none(cls) -> "Forcing":
-        return cls()
-
-    @classmethod
-    def constant(cls, qx: float = 0.0, qy: float = 0.0, z: float = 0.0) -> "Forcing":
-        def q_fn(grid: Grid, t: float):
-            return (
-                np.full((grid.nx + 1, grid.ny), qx),
-                np.full((grid.nx, grid.ny + 1), qy),
-            )
-
-        def z_fn(grid: Grid, t: float):
-            return np.full(grid.shape, z)
-
-        return cls(q_fn=q_fn if (qx or qy) else None, z_fn=z_fn if z else None)
-
-    @classmethod
-    def single_mode(cls, amplitude: float, kx: int = 1, ky: int = 0, target: str = "z") -> "Forcing":
-        def z_fn(grid: Grid, t: float):
-            X, Y = grid.cell_centers()
-            return amplitude * np.cos(np.pi * kx * X / grid.Lx) * np.cos(np.pi * ky * Y / grid.Ly)
-
-        def q_fn(grid: Grid, t: float):
-            xf = grid.x_faces()[:, None]
-            yc = ((np.arange(grid.ny) + 0.5) * grid.dy)[None, :]
-            qx = amplitude * np.sin(np.pi * kx * xf / grid.Lx) * np.cos(np.pi * ky * yc / grid.Ly)
-            return qx, np.zeros((grid.nx, grid.ny + 1))
-
-        if target == "z":
-            return cls(z_fn=z_fn)
-        return cls(q_fn=q_fn)
-
-    @classmethod
-    def from_fields(
-        cls,
-        q: tuple[np.ndarray, np.ndarray] | None = None,
-        z: np.ndarray | None = None,
-    ) -> "Forcing":
-        q_fn = (lambda grid, t: q) if q is not None else None
-        z_fn = (lambda grid, t: z) if z is not None else None
-        return cls(q_fn=q_fn, z_fn=z_fn)
-
-    def q_at(self, grid: Grid, t: float):
-        return None if self.q_fn is None else self.q_fn(grid, t)
-
-    def z_at(self, grid: Grid, t: float):
-        return None if self.z_fn is None else self.z_fn(grid, t)
+    q: tuple[np.ndarray, np.ndarray] | None = None
+    z: np.ndarray | None = None
 
 
 def advect_scalar(grid: Grid, vel: MacVelocity, c: np.ndarray) -> np.ndarray:
@@ -518,8 +449,10 @@ def step_ns(
     return out
 
 
-def suggest_dt(model: Model, state: SimState, config: SolverConfig) -> float:
+def suggest_dt(model: Model, state: SimState, safety: float) -> float:
     """Safety-scaled minimum of the advective, explicit-viscous, and kernel bounds."""
+    if not 0.0 < safety <= 1.0:
+        raise ValueError("safety factor must lie in (0, 1]")
     g = model.grid
     candidates = [SUGGEST_DT_CAP]
 
@@ -535,7 +468,7 @@ def suggest_dt(model: Model, state: SimState, config: SolverConfig) -> float:
     if model.mode == "nonlocal" and model.a is not None:
         candidates.append(1.0 / float(np.abs(model.a).max()))
 
-    return config.safety * min(candidates)
+    return safety * min(candidates)
 
 
 def _ledger_row(
@@ -557,8 +490,8 @@ def _ledger_row(
         state_next.theta,
         state_next.vel,
         mat,
-        forcing.q_at(g, state_next.t),
-        forcing.z_at(g, state_next.t),
+        forcing.q,
+        forcing.z,
     )
     work_sum = sum(works.values())
     resid = energy_budget_residual(e_prev, e_next, diss, work_sum, dt)
@@ -595,14 +528,13 @@ def advance(
     """One full step (phi -> theta -> velocity); returns (state, energy) where
     energy is the ledger-consistent total energy of the new state (None when
     no ledger is kept)."""
-    forcing = forcing or Forcing.none()
-    g = model.grid
+    forcing = forcing or Forcing()
     t_next = state.t + dt
 
     try:
         phi_next, mu_half = step_ch(model, state, dt)
-        theta_next = step_heat(model, state, phi_next, dt, forcing.z_at(g, state.t))
-        vel_next = step_ns(model, state, phi_next, theta_next, mu_half, dt, forcing.q_at(g, state.t))
+        theta_next = step_heat(model, state, phi_next, dt, forcing.z)
+        vel_next = step_ns(model, state, phi_next, theta_next, mu_half, dt, forcing.q)
     except NonFiniteError as exc:
         # overflow inside a sub-step surfaces as a finiteness error; report it
         # as a blow-up carrying the last good state
@@ -633,28 +565,31 @@ def advance(
     return state_next, energy_next
 
 
-def run_to(
+def integrate(
     model: Model,
     state: SimState,
-    config: SolverConfig,
+    dt: float,
+    t_end: float,
     forcing: Forcing | None = None,
     ledger: EnergyLedger | None = None,
-    on_output=None,
+    check_invariants: bool = False,
+    on_step=None,
 ) -> SimState:
-    """Advance to t_end with the configured fixed dt; cadence callback optional."""
-    forcing = forcing or Forcing.none()
-    e_prev = model.total_energy(state) if ledger is not None else None
-    n_steps = int(round((config.t_end - state.t) / config.dt))
-    for _ in range(max(n_steps, 0)):
-        state, e_prev = advance(
-            model,
-            state,
-            config.dt,
-            forcing,
-            ledger,
-            e_prev,
-            check_invariants=config.check_invariants,
-        )
-        if on_output is not None and state.step % config.cadence == 0:
-            on_output(state)
+    """Advance with fixed dt while t < t_end - dt/2; returns the last state.
+
+    `on_step(state)` is called after every step. A ledgered run starts from
+    the chemical potential and the energy of `state`, derived from one J*phi;
+    the caller's state is left as it was.
+    """
+    if not dt > 0.0:
+        raise ValueError("dt must be positive")
+    e_prev = None
+    if ledger is not None:
+        mu, interface = model.mu_and_interface(state.phi, state.theta)
+        state = replace(state, mu=mu)
+        e_prev = model.total_energy(state, interface)
+    while state.t < t_end - 0.5 * dt:
+        state, e_prev = advance(model, state, dt, forcing, ledger, e_prev, check_invariants)
+        if on_step is not None:
+            on_step(state)
     return state

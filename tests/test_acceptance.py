@@ -23,7 +23,7 @@ from nlchb.kernel import (
 )
 from nlchb.limits import gamma_sweep, solution_sweep, weak_operator_check
 from nlchb.physics import validate_assumptions
-from nlchb.solver import Model, SolverConfig, advance, step_ch, step_heat, suggest_dt
+from nlchb.solver import Model, integrate, step_ch, step_heat, suggest_dt
 from test_kernel import double_sum_energy
 
 GAMMA = 0.5
@@ -39,8 +39,9 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 def _spinodal_model(grid, eps=SPINODAL_EPS, mode="nonlocal"):
-    cfg = SolverConfig(dt=1e-3, t_end=1.0, mode=mode, epsilon=eps, gamma=GAMMA)
-    return Model.build(grid, spinodal_potential(), spinodal_material(), cfg)
+    return Model.build(
+        grid, spinodal_potential(), spinodal_material(), mode=mode, epsilon=eps, gamma=GAMMA
+    )
 
 
 @pytest.fixture(scope="module")
@@ -48,18 +49,20 @@ def soak_run():
     """One 10^4-step spinodal run at 64^2 shared by criteria 5 and 6."""
     grid = make_grid(64, 64, 1.0, 1.0)
     model = _spinodal_model(grid)
-    cfg = SolverConfig(dt=1e-3, t_end=1.0, mode="nonlocal", epsilon=SPINODAL_EPS, gamma=GAMMA)
     state = spinodal_state(grid)
-    dt = suggest_dt(model, state, cfg)
+    dt = suggest_dt(model, state, 0.4)
     mean0 = float(state.phi.mean())
-    max_drift = 0.0
-    max_div = 0.0
+    worst = {"drift": 0.0, "div": 0.0}
+
+    def track(state):
+        worst["drift"] = max(worst["drift"], abs(float(state.phi.mean()) - mean0))
+        worst["div"] = max(worst["div"], float(np.abs(state.vel.divergence()).max()))
+
     t0 = time.perf_counter()
-    for _ in range(10_000):
-        state, _ = advance(model, state, dt)
-        max_drift = max(max_drift, abs(float(state.phi.mean()) - mean0))
-        max_div = max(max_div, float(np.abs(state.vel.divergence()).max()))
-    return max_drift, max_div, time.perf_counter() - t0
+    end = integrate(model, state, dt, 10_000 * dt, on_step=track)
+    elapsed = time.perf_counter() - t0
+    assert end.step == 10_000
+    return worst["drift"], worst["div"], elapsed
 
 
 class TestCriterion01Convolution:
@@ -156,15 +159,11 @@ class TestCriterion07EnergyLaw:
     def test_monotone_energy_and_residual_halving(self):
         grid = make_grid(64, 64, 1.0, 1.0)
         model = _spinodal_model(grid)
-        cfg = SolverConfig(dt=1e-3, t_end=0.5, mode="nonlocal", epsilon=SPINODAL_EPS, gamma=GAMMA)
-        dt = suggest_dt(model, spinodal_state(grid), cfg)
+        dt = suggest_dt(model, spinodal_state(grid), 0.4)
 
         def run(step: float) -> EnergyLedger:
             ledger = EnergyLedger()
-            state = spinodal_state(grid)
-            e_prev = model.total_energy(state)
-            for _ in range(int(round(0.5 / step))):
-                state, e_prev = advance(model, state, step, ledger=ledger, e_prev=e_prev)
+            integrate(model, spinodal_state(grid), step, 0.5, ledger=ledger)
             return ledger
 
         led1 = run(dt)
@@ -211,15 +210,12 @@ class TestCriterion09Order:
         from nlchb.physics import PotentialParams
 
         grid = make_grid(64, 64, 1.0, 1.0)
-        cfg = SolverConfig(dt=1e-5, t_end=1.0, mode="nonlocal", epsilon=SPINODAL_EPS, gamma=GAMMA)
-        model = Model.build(grid, PotentialParams(eta_f=1.0), spinodal_material(), cfg)
+        model = Model.build(
+            grid, PotentialParams(eta_f=1.0), spinodal_material(),
+            mode="nonlocal", epsilon=SPINODAL_EPS, gamma=GAMMA,
+        )
         h, T = 1.25e-5, 2e-3
-        ends = []
-        for mult in (4, 2, 1):
-            state = smooth_flow_state(grid)
-            for _ in range(int(round(T / (mult * h)))):
-                state, _ = advance(model, state, mult * h)
-            ends.append(state.phi)
+        ends = [integrate(model, smooth_flow_state(grid), mult * h, T).phi for mult in (4, 2, 1)]
         e1 = float(np.sqrt(np.sum((ends[0] - ends[1]) ** 2) * grid.cell_area))
         e2 = float(np.sqrt(np.sum((ends[1] - ends[2]) ** 2) * grid.cell_area))
         order = float(np.log2(e1 / e2))

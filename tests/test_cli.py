@@ -147,6 +147,20 @@ class TestResume:
         assert np.array_equal(resumed_state.vel.u, full_state.vel.u)
         assert np.array_equal(resumed_state.vel.v, full_state.vel.v)
 
+    def test_resume_from_mid_run_snapshot_keeps_ledger(self, tmp_path):
+        # resuming cuts ledger.csv back to the snapshot's t before appending,
+        # so no row is repeated and the file matches the uninterrupted run's
+        cfg = write_cfg(tmp_path, FAST_RUN)
+        assert main(["run", cfg]) == 0
+        out = tmp_path / "out"
+        ledger = (out / "ledger.csv").read_bytes()
+        checkpoint = (out / "checkpoint.bin").read_bytes()
+        with open(out / "ledger.csv", "a", encoding="utf-8") as fh:
+            fh.write("0.0")  # a row torn by a killed run; its prefix parses as t = 0
+        assert main(["resume", str(out / "snapshot_00000010.bin")]) == 0
+        assert (out / "ledger.csv").read_bytes() == ledger
+        assert (out / "checkpoint.bin").read_bytes() == checkpoint
+
     def test_resume_already_finished(self, tmp_path):
         cfg = write_cfg(tmp_path, FAST_RUN)
         assert main(["run", cfg]) == 0
@@ -190,14 +204,3 @@ class TestValidateAndSweeps:
         assert (out / "sweep_eps.csv").exists()
         assert (out / "eps_0.4" / "ledger.csv").exists()
         assert (out / "eps_0.2" / "ledger.csv").exists()
-
-    def test_sweep_eps_thread_env_is_deterministic(self, tmp_path, monkeypatch):
-        text = FAST_RUN.replace("t_end = 2e-2", "t_end = 5e-3")
-        cfg1 = write_cfg(tmp_path, text.replace("{out}", "{out}_serial"), "serial.cfg")
-        assert main(["sweep-eps", cfg1, "--eps", "0.4,0.2"]) == 0
-        monkeypatch.setenv("NLCHB_THREADS", "2")
-        cfg2 = write_cfg(tmp_path, text.replace("{out}", "{out}_par"), "par.cfg")
-        assert main(["sweep-eps", cfg2, "--eps", "0.4,0.2"]) == 0
-        serial = (tmp_path / "out_serial" / "sweep_eps.csv").read_text()
-        parallel = (tmp_path / "out_par" / "sweep_eps.csv").read_text()
-        assert serial == parallel

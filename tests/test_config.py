@@ -122,7 +122,7 @@ class TestBuilders:
         assert np.array_equal(state.phi, donor.phi)
         assert np.all(state.theta == 2.0)   # theta preset still honored
         assert state.t == 0.0 and state.step == 0
-        z = cfg.forcing().z_at(cfg.grid, 0.0)
+        z = cfg.forcing().z
         assert np.array_equal(z, donor.theta)
 
     def test_build_model_local_mode(self):
@@ -134,6 +134,6 @@ class TestBuilders:
     def test_forcing_constant(self):
         cfg = parse_config("[forcing]\nz_preset = constant\nz_value = 2.0\n")
         forcing = cfg.forcing()
-        z = forcing.z_at(cfg.grid, 0.0)
+        z = forcing.z
         assert np.all(z == 2.0)
-        assert forcing.q_at(cfg.grid, 0.0) is None
+        assert forcing.q is None

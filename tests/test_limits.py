@@ -6,6 +6,7 @@ import pytest
 from conftest import spinodal_material, spinodal_potential, spinodal_state
 from nlchb.grid import make_grid
 from nlchb.limits import SweepReport, gamma_sweep, solution_sweep, weak_operator_check
+from nlchb.solver import Model
 
 
 def coscos(grid):
@@ -125,18 +126,21 @@ class TestSolutionSweep:
             mass = ledger.column("mass_phi") / (grid.Lx * grid.Ly)
             assert np.abs(mass - mass0).max() <= 1e-10
 
-    def test_parallel_matches_serial(self):
-        grid = make_grid(32, 32, 1.0, 1.0)
-        kwargs = dict(
-            gamma=0.5, t_end=0.02, sample_count=10
-        )
-        r1 = solution_sweep(
+    def test_each_model_built_once(self, monkeypatch):
+        # with dt auto the smallest-eps model sets dt and then runs: eps + 1 builds
+        raw = Model.build.__func__
+        builds = []
+
+        def counted(cls, *args, **kwargs):
+            builds.append((kwargs["mode"], kwargs["epsilon"]))
+            return raw(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Model, "build", classmethod(counted))
+        grid = make_grid(16, 16, 1.0, 1.0)
+        eps = [0.5, 0.4, 0.3]
+        solution_sweep(
             grid, spinodal_potential(), spinodal_material(), spinodal_state(grid),
-            [0.25, 0.125], workers=1, **kwargs
+            eps, gamma=0.5, t_end=2e-3, sample_count=4,
         )
-        r2 = solution_sweep(
-            grid, spinodal_potential(), spinodal_material(), spinodal_state(grid),
-            [0.25, 0.125], workers=2, **kwargs
-        )
-        for k in r1.columns:
-            assert r1.columns[k] == r2.columns[k]
+        assert len(builds) == len(eps) + 1
+        assert sorted(builds) == sorted([("local", 0.5)] + [("nonlocal", e) for e in eps])

@@ -16,11 +16,10 @@ from nlchb.solver import (
     Forcing,
     Model,
     SimState,
-    SolverConfig,
     advance,
+    integrate,
     momentum_advection,
     project,
-    run_to,
     step_ch,
     step_heat,
     suggest_dt,
@@ -28,10 +27,16 @@ from nlchb.solver import (
 
 
 def build_model(grid, mode="nonlocal", eps=0.2, pot=None, mat=None, S=None):
-    cfg = SolverConfig(
-        dt=1e-3, t_end=1.0, mode=mode, epsilon=eps, gamma=0.5, stabilization=S
+    return Model.build(
+        grid, pot or spinodal_potential(), mat or spinodal_material(),
+        mode=mode, epsilon=eps, gamma=0.5, stabilization=S,
     )
-    return Model.build(grid, pot or spinodal_potential(), mat or spinodal_material(), cfg)
+
+
+def uniform_forcing(grid, qx=0.0, z=0.0):
+    """Uniform x-force qx on the faces and heat source z; a zero part is None."""
+    q = (np.full((grid.nx + 1, grid.ny), qx), np.zeros((grid.nx, grid.ny + 1))) if qx else None
+    return Forcing(q=q, z=np.full(grid.shape, z) if z else None)
 
 
 def count_convolutions(monkeypatch):
@@ -223,12 +228,7 @@ class TestAdvance:
         # mild potential keeps the comparison in the asymptotic-in-dt regime
         model = build_model(grid64, pot=PotentialParams(eta_f=1.0))
         h, T = 1.25e-5, 2e-3
-        ends = []
-        for mult in (4, 2, 1):
-            state = smooth_flow_state(grid64)
-            for _ in range(int(round(T / (mult * h)))):
-                state, _ = advance(model, state, mult * h)
-            ends.append(state.phi)
+        ends = [integrate(model, smooth_flow_state(grid64), mult * h, T).phi for mult in (4, 2, 1)]
         e1 = np.sqrt(np.sum((ends[0] - ends[1]) ** 2) * grid64.cell_area)
         e2 = np.sqrt(np.sum((ends[1] - ends[2]) ** 2) * grid64.cell_area)
         order = np.log2(e1 / e2)
@@ -293,9 +293,8 @@ class TestAdvance:
 
     def test_ledger_rows_appended(self, grid32):
         model = build_model(grid32)
-        cfg = SolverConfig(dt=1e-3, t_end=5e-3, mode="nonlocal", epsilon=0.2, gamma=0.5)
         ledger = EnergyLedger()
-        run_to(model, spinodal_state(grid32), cfg, ledger=ledger)
+        integrate(model, spinodal_state(grid32), 1e-3, 5e-3, ledger=ledger)
         assert len(ledger.rows) == 5
         assert np.all(np.diff(ledger.column("t")) > 0)
 
@@ -306,12 +305,15 @@ class TestAdvance:
             state, _ = advance(model, state, 1e-3, check_invariants=True)
 
     def test_run_to_cadence_callback(self, grid32):
+        # integrate calls on_step after every step; a cadence is the caller's filter
         model = build_model(grid32)
-        cfg = SolverConfig(
-            dt=1e-3, t_end=1e-2, mode="nonlocal", epsilon=0.2, gamma=0.5, cadence=3
-        )
         seen = []
-        run_to(model, spinodal_state(grid32), cfg, on_output=lambda s: seen.append(s.step))
+
+        def on_step(state):
+            if state.step % 3 == 0:
+                seen.append(state.step)
+
+        integrate(model, spinodal_state(grid32), 1e-3, 1e-2, on_step=on_step)
         assert seen == [3, 6, 9]
 
     @pytest.mark.parametrize("mode", ["nonlocal", "local"])
@@ -323,8 +325,7 @@ class TestAdvance:
             nu_min=0.5, nu_max=1.5, alpha0=0.1, alpha1=0.2, alpha2=0.5, g=(0.3, -1.0),
         )
         pot = PotentialParams(eta_f=5.0)
-        cfg = SolverConfig(dt=1e-3, t_end=1.0, mode=mode, epsilon=0.4, gamma=0.6)
-        model = Model.build(grid, pot, mat, cfg)
+        model = Model.build(grid, pot, mat, mode=mode, epsilon=0.4, gamma=0.6)
         X, Y = grid.cell_centers()
         state = SimState(
             t=0.0,
@@ -334,7 +335,7 @@ class TestAdvance:
             vel=MacVelocity(grid),
         )
         m0 = float(state.phi.mean())
-        forcing = Forcing.constant(qx=0.05, z=0.1)
+        forcing = uniform_forcing(grid, qx=0.05, z=0.1)
         for _ in range(25):
             state, _ = advance(model, state, 1e-3, forcing)
         assert state.is_finite()
@@ -350,7 +351,7 @@ def coupled_flow_setup(grid, mode):
         nu_min=0.5, nu_max=1.5, alpha1=0.2, alpha2=0.5, g=(0.3, -1.0),
     )
     model = build_model(grid, mode=mode, mat=mat)
-    return model, smooth_flow_state(grid), Forcing.constant(qx=0.05, z=0.1)
+    return model, smooth_flow_state(grid), uniform_forcing(grid, qx=0.05, z=0.1)
 
 
 def assert_same_state(s1, s2):
@@ -421,19 +422,67 @@ class TestSharedChemicalPotential:
         assert len(calls) == (self.steps + 1 if mode == "nonlocal" else 0)
 
 
+class TestIntegrate:
+    def test_steps_while_t_below_t_end_minus_half_dt(self, grid32):
+        model = build_model(grid32)
+        dt = 1e-3
+        assert integrate(model, spinodal_state(grid32), dt, 2.4 * dt).step == 2
+        assert integrate(model, spinodal_state(grid32), dt, 2.6 * dt).step == 3
+        start = spinodal_state(grid32)
+        assert integrate(model, start, dt, 0.4 * dt) is start
+
+    def test_ledgered_run_convolves_once_per_state(self, grid32, monkeypatch):
+        # the initial state's mu and energy share one J*phi, then one per step
+        model = build_model(grid32)
+        state = spinodal_state(grid32)
+        calls = count_convolutions(monkeypatch)
+        steps = 5
+        end = integrate(model, state, 1e-3, steps * 1e-3, ledger=EnergyLedger())
+        assert end.step == steps
+        assert len(calls) == steps + 1
+        assert state.mu is None  # the caller's state is not mutated
+
+    def test_ledgered_run_matches_advance_loop(self, grid32):
+        model, state, forcing = coupled_flow_setup(grid32, "nonlocal")
+        looped, ledger = state, EnergyLedger()
+        e_prev = model.total_energy(state)
+        for _ in range(4):
+            looped, e_prev = advance(model, looped, 5e-4, forcing, ledger=ledger, e_prev=e_prev)
+        integrated = EnergyLedger()
+        end = integrate(model, state, 5e-4, 2e-3, forcing, ledger=integrated)
+        assert_same_state(end, looped)
+        assert integrated.rows == ledger.rows
+
+
+class TestBuildAndDtValidation:
+    def test_unknown_mode_rejected(self, grid32):
+        with pytest.raises(ValueError, match="unknown mode"):
+            build_model(grid32, mode="spectral")
+
+    def test_negative_stabilization_rejected(self, grid32):
+        with pytest.raises(ValueError, match="nonnegative"):
+            build_model(grid32, mode="local", S=-1.0)
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan")])
+    def test_nonpositive_dt_rejected(self, grid32, dt):
+        model = build_model(grid32, mode="local")
+        with pytest.raises(ValueError, match="dt must be positive"):
+            integrate(model, spinodal_state(grid32), dt, 1e-2)
+
+    @pytest.mark.parametrize("safety", [0.0, 1.5])
+    def test_safety_outside_unit_interval_rejected(self, grid32, safety):
+        model = build_model(grid32, mode="local")
+        with pytest.raises(ValueError, match="safety"):
+            suggest_dt(model, spinodal_state(grid32), safety)
+
+
 class TestEnergyDecay:
     def test_unforced_energy_monotone_at_suggested_dt(self, grid64):
         model = build_model(grid64)
-        cfg0 = SolverConfig(dt=1e-3, t_end=0.1, mode="nonlocal", epsilon=0.2, gamma=0.5)
         state = spinodal_state(grid64)
-        dt = suggest_dt(model, state, cfg0)
+        dt = suggest_dt(model, state, 0.4)
         ledger = EnergyLedger()
-        run_to(
-            model,
-            state,
-            SolverConfig(dt=dt, t_end=0.1, mode="nonlocal", epsilon=0.2, gamma=0.5),
-            ledger=ledger,
-        )
+        integrate(model, state, dt, 0.1, ledger=ledger)
         E = ledger.column("E_total")
         assert np.diff(E).max() <= 1e-8 * E[0]
 
@@ -456,47 +505,32 @@ class TestEnergyDecay:
 class TestSuggestDt:
     def test_rest_state_uses_kernel_bound(self, grid64):
         model = build_model(grid64)
-        cfg = SolverConfig(dt=1.0, t_end=1.0, mode="nonlocal", epsilon=0.2, gamma=0.5, safety=0.4)
         state = spinodal_state(grid64)
-        dt = suggest_dt(model, state, cfg)
+        dt = suggest_dt(model, state, 0.4)
         assert dt == pytest.approx(0.4 / float(model.a.max()), rel=1e-12)
 
     def test_doubling_speed_halves_advective_bound(self, grid64):
         model = build_model(grid64)
-        cfg = SolverConfig(dt=1.0, t_end=1.0, mode="nonlocal", epsilon=0.2, gamma=0.5)
         state = spinodal_state(grid64)
         state.vel.u[1:-1, :] = 500.0  # make advection binding
-        dt1 = suggest_dt(model, state, cfg)
+        dt1 = suggest_dt(model, state, 0.4)
         state.vel.u[1:-1, :] = 1000.0
-        dt2 = suggest_dt(model, state, cfg)
+        dt2 = suggest_dt(model, state, 0.4)
         assert dt1 == pytest.approx(2.0 * dt2, rel=1e-12)
 
     def test_local_mode_capped(self, grid32):
         model = build_model(grid32, mode="local")
-        cfg = SolverConfig(dt=1.0, t_end=1.0, mode="local", safety=0.5)
         state = SimState(
             t=0.0, step=0, phi=grid32.zeros(), theta=grid32.zeros(), vel=MacVelocity(grid32)
         )
-        assert suggest_dt(model, state, cfg) == pytest.approx(0.5)
+        assert suggest_dt(model, state, 0.5) == pytest.approx(0.5)
 
 
 class TestForcing:
-    def test_constant_preset_shapes(self, grid32):
-        f = Forcing.constant(qx=1.0, qy=-2.0, z=0.5)
-        qx, qy = f.q_at(grid32, 0.0)
-        assert qx.shape == (grid32.nx + 1, grid32.ny)
-        assert qy.shape == (grid32.nx, grid32.ny + 1)
-        assert f.z_at(grid32, 0.0).shape == grid32.shape
-
-    def test_none_preset(self, grid32):
-        f = Forcing.none()
-        assert f.q_at(grid32, 0.0) is None
-        assert f.z_at(grid32, 0.0) is None
-
     def test_forced_mean_theta_growth_through_advance(self, grid32):
         model = build_model(grid32)
         state = spinodal_state(grid32)
-        forcing = Forcing.constant(z=1.0)
+        forcing = Forcing(z=np.full(grid32.shape, 1.0))
         nxt, _ = advance(model, state, 1e-3, forcing)
         dh = float(np.mean(nxt.theta - model.material.l_h * nxt.phi)) - float(
             np.mean(state.theta - model.material.l_h * state.phi)
