@@ -19,7 +19,6 @@ from .config import ConfigError, RunConfig, parse_config
 from .energy import EnergyLedger
 from .kernel import (
     calibrate_mollifier,
-    compute_a,
     compute_cd,
     convolve,
     convolve_direct,

@@ -113,6 +113,17 @@ def mac_l2_sq(grid: Grid, vel: MacVelocity) -> float:
     return float((np.sum(vel.u**2) + np.sum(vel.v**2)) * grid.cell_area)
 
 
+def _energy_integrals(
+    grid: Grid, phi: np.ndarray, theta: np.ndarray, vel: MacVelocity, potential: PotentialParams
+) -> tuple[float, float, float]:
+    """eta_f int F(phi), int |u|^2 and int theta^2: the terms of E besides the interface."""
+    return (
+        potential.eta_f * field_integral(grid, potential.f(phi)),
+        mac_l2_sq(grid, vel),
+        field_integral(grid, theta * theta),
+    )
+
+
 def total_energy(
     grid: Grid,
     phi: np.ndarray,
@@ -124,11 +135,13 @@ def total_energy(
     kernel: KernelGrid | None = None,
     a: np.ndarray | None = None,
     interface: float | None = None,
+    integrals: tuple[float, float, float] | None = None,
 ) -> float:
     """Total energy E of the coupled state (see module docstring for the display).
 
     `interface` is the already computed interface energy of phi (e_nl or
-    e_local by mode); when it is None it is computed here.
+    e_local by mode) and `integrals` the state's `_energy_integrals`; when
+    None they are computed here.
     """
     if mode == "nonlocal":
         if interface is None:
@@ -142,11 +155,13 @@ def total_energy(
         f_weight = 1.0
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    f_int = potential.eta_f * field_integral(grid, potential.f(phi))
+    if integrals is None:
+        integrals = _energy_integrals(grid, phi, theta, vel, potential)
+    f_int, u_sq, theta_sq = integrals
     two_e = (
         (interface + f_weight * f_int) / material.l_c
-        + mac_l2_sq(grid, vel) / (material.K_cap * material.l_c)
-        + field_integral(grid, theta * theta) / material.l_h
+        + u_sq / (material.K_cap * material.l_c)
+        + theta_sq / material.l_h
     )
     return 0.5 * two_e
 

@@ -160,36 +160,13 @@ def _trapezoid_weights(n: int, dt: float) -> np.ndarray:
     return w
 
 
-@dataclass
-class _RunResult:
-    samples: list | None
-    state: SimState | None
-    ledger: EnergyLedger | None
-    blew_up: bool = False
-
-
-def _run_one(
-    model: Model,
-    state0: SimState,
-    dt: float,
-    n_steps: int,
-    sample_every: int,
-    keep_ledger: bool,
-) -> _RunResult:
-    ledger = EnergyLedger() if keep_ledger else None
-    samples = [(state0.phi.copy(), state0.theta.copy(), state0.vel.u.copy(), state0.vel.v.copy())]
-
-    def sample(state: SimState) -> None:
-        if (state.step - state0.step) % sample_every == 0:
-            samples.append(
-                (state.phi.copy(), state.theta.copy(), state.vel.u.copy(), state.vel.v.copy())
-            )
-
-    try:
-        state = integrate(model, state0, dt, state0.t + n_steps * dt, ledger=ledger, on_step=sample)
-    except BlowUpError:
-        return _RunResult(samples=None, state=None, ledger=ledger, blew_up=True)
-    return _RunResult(samples=samples, state=state, ledger=ledger)
+def _squared_gaps(a: SimState, b: SimState) -> tuple[float, float, float]:
+    """Sums over the grid of the squared differences of phi, theta and u (both faces)."""
+    return (
+        float(np.sum((a.phi - b.phi) ** 2)),
+        float(np.sum((a.theta - b.theta) ** 2)),
+        float(np.sum((a.vel.u - b.vel.u) ** 2)) + float(np.sum((a.vel.v - b.vel.v) ** 2)),
+    )
 
 
 def solution_sweep(
@@ -214,6 +191,10 @@ def solution_sweep(
     (trapezoidal in time on the sampling grid), end-time L2 distances, and the
     end-time energy gap under the shared local functional. Diverged runs are
     marked invalid and excluded from ratio tables.
+
+    The reference and the members advance in lockstep, one sampling interval
+    at a time, and the distances accumulate as they go: the sweep holds one
+    current state per run, whatever the number of samples.
     """
     eps = _check_eps_list(eps_list)
 
@@ -230,25 +211,47 @@ def solution_sweep(
         dt = suggest_dt(smallest, state0, safety)
     n_steps = max(1, int(round(t_end / dt)))
     sample_every = max(1, n_steps // max(2, sample_count))
-
-    def run(model: Model) -> _RunResult:
-        return _run_one(model, state0, dt, n_steps, sample_every, keep_ledgers)
-
-    ref = run(build("local", eps[0]))
-    if ref.blew_up:
-        raise RuntimeError("local reference run diverged; sweep aborted")
-
-    results = [
-        run(smallest if e == eps[-1] and smallest is not None else build("nonlocal", e))
-        for e in eps
-    ]
-
-    e_ref_local = total_energy(
-        grid, ref.state.phi, ref.state.theta, ref.state.vel, "local", potential, material
-    )
-    w = _trapezoid_weights(len(ref.samples), sample_every * dt)
+    n_samples = 1 + n_steps // sample_every
+    w = _trapezoid_weights(n_samples, sample_every * dt)
     area = grid.cell_area
 
+    ref_model = build("local", eps[0])
+    models = [
+        smallest if e == eps[-1] and smallest is not None else build("nonlocal", e) for e in eps
+    ]
+    ledgers = [EnergyLedger() if keep_ledgers else None for _ in eps]
+    # current state per member (None once it diverged) and its running sums
+    # for the phi, theta and u distances
+    ref = state0
+    states: list[SimState | None] = [state0] * len(eps)
+    sums = [[0.0, 0.0, 0.0] for _ in eps]
+
+    def step_all(steps: int) -> None:
+        """Advance every live run to `steps` steps after state0."""
+        nonlocal ref
+        t = state0.t + steps * dt
+        try:
+            ref = integrate(ref_model, ref, dt, t)
+        except BlowUpError as exc:
+            raise RuntimeError("local reference run diverged; sweep aborted") from exc
+        for k, state in enumerate(states):
+            if state is not None:
+                try:
+                    states[k] = integrate(models[k], state, dt, t, ledger=ledgers[k])
+                except BlowUpError:
+                    states[k] = None
+
+    for i in range(n_samples):
+        if i:
+            step_all(i * sample_every)
+        for state, s in zip(states, sums):
+            if state is not None:
+                for j, gap in enumerate(_squared_gaps(state, ref)):
+                    s[j] += w[i] * gap * area
+    if n_steps % sample_every:
+        step_all(n_steps)
+
+    e_ref_local = total_energy(grid, ref.phi, ref.theta, ref.vel, "local", potential, material)
     cols: dict[str, list[float]] = {
         k: []
         for k in (
@@ -261,49 +264,19 @@ def solution_sweep(
             "energy_gap",
         )
     }
-    valid = []
-    ledgers = {}
-    for e, res in zip(eps, results):
-        if res.blew_up:
-            valid.append(False)
-            for k in cols:
-                cols[k].append(float("nan"))
-            continue
-        valid.append(True)
-        dp = dth = du = 0.0
-        for wi, sa, sb in zip(w, res.samples, ref.samples):
-            dp += wi * float(np.sum((sa[0] - sb[0]) ** 2)) * area
-            dth += wi * float(np.sum((sa[1] - sb[1]) ** 2)) * area
-            du += wi * (
-                float(np.sum((sa[2] - sb[2]) ** 2)) + float(np.sum((sa[3] - sb[3]) ** 2))
-            ) * area
-        st = res.state
-        e_local_fn = total_energy(
-            grid, st.phi, st.theta, st.vel, "local", potential, material
-        )
-        cols["dist_phi"].append(np.sqrt(dp))
-        cols["dist_theta"].append(np.sqrt(dth))
-        cols["dist_u"].append(np.sqrt(du))
-        cols["end_dist_phi"].append(
-            float(np.sqrt(np.sum((st.phi - ref.state.phi) ** 2) * area))
-        )
-        cols["end_dist_theta"].append(
-            float(np.sqrt(np.sum((st.theta - ref.state.theta) ** 2) * area))
-        )
-        cols["end_dist_u"].append(
-            float(
-                np.sqrt(
-                    (
-                        np.sum((st.vel.u - ref.state.vel.u) ** 2)
-                        + np.sum((st.vel.v - ref.state.vel.v) ** 2)
-                    )
-                    * area
-                )
+    for state, s in zip(states, sums):
+        values = [float("nan")] * len(cols)
+        if state is not None:
+            e_local_fn = total_energy(
+                grid, state.phi, state.theta, state.vel, "local", potential, material
             )
-        )
-        cols["energy_gap"].append(abs(e_local_fn - e_ref_local))
-        if keep_ledgers:
-            ledgers[e] = res.ledger
+            values = (
+                [float(np.sqrt(x)) for x in s]
+                + [float(np.sqrt(x * area)) for x in _squared_gaps(state, ref)]
+                + [abs(e_local_fn - e_ref_local)]
+            )
+        for column, value in zip(cols.values(), values):
+            column.append(value)
 
     report = SweepReport(
         kind="solution_sweep",
@@ -321,8 +294,10 @@ def solution_sweep(
             "sample_every": sample_every,
             "mass_phi0": float(state0.phi.mean()),
         },
-        valid=valid,
+        valid=[state is not None for state in states],
     )
     if keep_ledgers:
-        report.metadata["ledgers"] = ledgers
+        report.metadata["ledgers"] = {
+            e: ledger for e, ledger, state in zip(eps, ledgers, states) if state is not None
+        }
     return report

@@ -33,6 +33,7 @@ from scipy import fft as _fft
 
 from .energy import (
     EnergyLedger,
+    _energy_integrals,
     dissipation,
     e_local,
     e_nl,
@@ -194,8 +195,13 @@ class Model:
             e_local(self.grid, phi),
         )
 
-    def total_energy(self, state: "SimState", interface: float | None = None) -> float:
-        """E of `state`; `interface` is its interface energy when already known."""
+    def total_energy(
+        self,
+        state: "SimState",
+        interface: float | None = None,
+        integrals: tuple[float, float, float] | None = None,
+    ) -> float:
+        """E of `state`; `interface` and `integrals` are its parts when already known."""
         return total_energy(
             self.grid,
             state.phi,
@@ -207,6 +213,7 @@ class Model:
             self.kernel,
             self.a,
             interface,
+            integrals,
         )
 
 
@@ -482,7 +489,10 @@ def _ledger_row(
     g = model.grid
     mat = model.material
     mu_next = state_next.mu
-    e_next = model.total_energy(state_next, interface)
+    integrals = _energy_integrals(
+        g, state_next.phi, state_next.theta, state_next.vel, model.potential
+    )
+    e_next = model.total_energy(state_next, interface, integrals)
     diss = dissipation(g, state_next.phi, mu_next, state_next.vel, state_next.theta, mat)
     works = work_terms(
         g,
@@ -499,11 +509,9 @@ def _ledger_row(
         "t": state_next.t,
         "E_total": e_next,
         "E_interface": interface,
-        "F_integral": model.potential.eta_f
-        * float(np.sum(model.potential.f(state_next.phi)) * g.cell_area),
-        "kinetic": float((np.sum(state_next.vel.u**2) + np.sum(state_next.vel.v**2)) * g.cell_area)
-        / (2.0 * mat.K_cap * mat.l_c),
-        "thermal": float(np.sum(state_next.theta**2) * g.cell_area) / (2.0 * mat.l_h),
+        "F_integral": integrals[0],
+        "kinetic": integrals[1] / (2.0 * mat.K_cap * mat.l_c),
+        "thermal": integrals[2] / (2.0 * mat.l_h),
         "dissipation": diss,
         "residual": resid,
         "mass_phi": float(state_next.phi.sum() * g.cell_area),

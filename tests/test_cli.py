@@ -1,7 +1,5 @@
 """End-to-end CLI tests: run, resume determinism, oracle, sweeps, validation."""
 
-import os
-
 import numpy as np
 import pytest
 
@@ -204,3 +202,10 @@ class TestValidateAndSweeps:
         assert (out / "sweep_eps.csv").exists()
         assert (out / "eps_0.4" / "ledger.csv").exists()
         assert (out / "eps_0.2" / "ledger.csv").exists()
+        # every data cell is a plain number (no numpy scalar reprs)
+        lines = (out / "sweep_eps.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines if not line.startswith("#")][1:]
+        assert len(rows) == 2
+        for row in rows:
+            for cell in row:
+                float(cell)

@@ -6,7 +6,6 @@ import pytest
 from nlchb.energy import (
     EnergyLedger,
     LEDGER_COLUMNS,
-    deformation_norm_sq,
     dissipation,
     e_local,
     e_nl,

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlchb.grid import (
-    Grid,
     MacVelocity,
     NonFiniteError,
     dct2_inverse,

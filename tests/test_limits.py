@@ -1,12 +1,16 @@
 """Limit-study tests (the full acceptance fixtures run in test_acceptance)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import spinodal_material, spinodal_potential, spinodal_state
+import nlchb.solver
+from nlchb.energy import EnergyLedger, total_energy
 from nlchb.grid import make_grid
 from nlchb.limits import SweepReport, gamma_sweep, solution_sweep, weak_operator_check
-from nlchb.solver import Model
+from nlchb.solver import BlowUpError, Model, integrate, suggest_dt
 
 
 def coscos(grid):
@@ -144,3 +148,188 @@ class TestSolutionSweep:
         )
         assert len(builds) == len(eps) + 1
         assert sorted(builds) == sorted([("local", 0.5)] + [("nonlocal", e) for e in eps])
+
+
+DIST_COLUMNS = (
+    "dist_phi",
+    "dist_theta",
+    "dist_u",
+    "end_dist_phi",
+    "end_dist_theta",
+    "end_dist_u",
+    "energy_gap",
+)
+
+
+def keep_all_samples_sweep(grid, state0, eps, t_end, sample_count, dt=None, keep_ledgers=False):
+    """Oracle: the sweep that runs each member to the end keeping every sample,
+    then sums the trapezoidal distances member by member, sample by sample.
+
+    Returns (columns, ledgers) for the spinodal potential and material, gamma 0.5.
+    """
+    potential, material = spinodal_potential(), spinodal_material()
+
+    def build(mode, e):
+        return Model.build(grid, potential, material, mode=mode, epsilon=e, gamma=0.5)
+
+    if dt is None:
+        dt = suggest_dt(build("nonlocal", eps[-1]), state0, 0.4)
+    n_steps = max(1, int(round(t_end / dt)))
+    sample_every = max(1, n_steps // max(2, sample_count))
+
+    def run(model):
+        ledger = EnergyLedger() if keep_ledgers else None
+        samples = []
+
+        def sample(state):
+            if (state.step - state0.step) % sample_every == 0:
+                samples.append(
+                    (state.phi.copy(), state.theta.copy(), state.vel.u.copy(), state.vel.v.copy())
+                )
+
+        sample(state0)
+        end = integrate(model, state0, dt, state0.t + n_steps * dt, ledger=ledger, on_step=sample)
+        return samples, end, ledger
+
+    ref_samples, ref, _ = run(build("local", eps[0]))
+    e_ref_local = total_energy(grid, ref.phi, ref.theta, ref.vel, "local", potential, material)
+    w = np.full(len(ref_samples), sample_every * dt)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    area = grid.cell_area
+    cols = {k: [] for k in DIST_COLUMNS}
+    ledgers = {}
+    for e in eps:
+        samples, st, ledger = run(build("nonlocal", e))
+        dp = dth = du = 0.0
+        for wi, sa, sb in zip(w, samples, ref_samples):
+            dp += wi * float(np.sum((sa[0] - sb[0]) ** 2)) * area
+            dth += wi * float(np.sum((sa[1] - sb[1]) ** 2)) * area
+            du += wi * (
+                float(np.sum((sa[2] - sb[2]) ** 2)) + float(np.sum((sa[3] - sb[3]) ** 2))
+            ) * area
+        e_local_fn = total_energy(grid, st.phi, st.theta, st.vel, "local", potential, material)
+        cols["dist_phi"].append(np.sqrt(dp))
+        cols["dist_theta"].append(np.sqrt(dth))
+        cols["dist_u"].append(np.sqrt(du))
+        cols["end_dist_phi"].append(float(np.sqrt(np.sum((st.phi - ref.phi) ** 2) * area)))
+        cols["end_dist_theta"].append(float(np.sqrt(np.sum((st.theta - ref.theta) ** 2) * area)))
+        cols["end_dist_u"].append(
+            float(
+                np.sqrt(
+                    (np.sum((st.vel.u - ref.vel.u) ** 2) + np.sum((st.vel.v - ref.vel.v) ** 2))
+                    * area
+                )
+            )
+        )
+        cols["energy_gap"].append(abs(e_local_fn - e_ref_local))
+        ledgers[e] = ledger
+    return cols, ledgers
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def sweep_grid():
+    # 20 x 20: the cell area is not a power of two, so rounding shows any reordering
+    return make_grid(20, 20, 1.0, 1.0)
+
+
+def tiny_sweep(eps, **kwargs):
+    grid = sweep_grid()
+    return solution_sweep(
+        grid, spinodal_potential(), spinodal_material(), spinodal_state(grid), eps,
+        gamma=0.5, **kwargs,
+    )
+
+
+def diverge_after(monkeypatch, steps, mode, epsilon=None):
+    """Make `advance` blow up from step `steps` on, for the runs of one mode
+    (and one epsilon, when given)."""
+    raw = nlchb.solver.advance
+
+    def advance(model, state, *args, **kwargs):
+        hit = model.mode == mode and (epsilon is None or model.kernel.epsilon == epsilon)
+        if hit and state.step >= steps:
+            raise BlowUpError("forced divergence", state)
+        return raw(model, state, *args, **kwargs)
+
+    monkeypatch.setattr(nlchb.solver, "advance", advance)
+
+
+class TestStreamedSweep:
+    @pytest.mark.parametrize(
+        "dt, t_end, sample_count, keep_ledgers, sample_every, remainder",
+        [
+            (1e-3, 9e-3, 100, False, 1, 0),  # every step is a sample
+            (1e-3, 23e-3, 5, False, 4, 3),  # steps after the last sample
+            (None, 0.05, 4, True, 3, 1),  # dt auto, ledgers restarted per interval
+        ],
+    )
+    def test_matches_keep_all_samples_oracle(
+        self, dt, t_end, sample_count, keep_ledgers, sample_every, remainder
+    ):
+        eps = [0.5, 0.4, 0.3]
+        report = tiny_sweep(
+            eps, dt=dt, t_end=t_end, sample_count=sample_count, keep_ledgers=keep_ledgers
+        )
+        md = report.metadata
+        assert md["sample_every"] == sample_every
+        assert md["n_steps"] % sample_every == remainder
+        grid = sweep_grid()
+        cols, ledgers = keep_all_samples_sweep(
+            grid, spinodal_state(grid), eps, t_end, sample_count, dt, keep_ledgers
+        )
+        assert report.valid == [True] * len(eps)
+        for name in DIST_COLUMNS:
+            assert bits(report.columns[name]) == bits(cols[name]), name
+            assert all(type(v) is float for v in report.columns[name]), name
+        if keep_ledgers:
+            kept = md["ledgers"]
+            assert list(kept) == eps
+            for e in eps:
+                assert len(kept[e].rows) == md["n_steps"]
+                assert kept[e].rows == ledgers[e].rows
+        else:
+            assert "ledgers" not in md
+
+    def test_diverged_member_is_invalid_and_leaves_the_others(self, monkeypatch):
+        eps = [0.5, 0.4, 0.3]
+        kwargs = dict(dt=1e-3, t_end=1e-2, sample_count=4, keep_ledgers=True)
+        clean = tiny_sweep(eps, **kwargs)
+        diverge_after(monkeypatch, 3, "nonlocal", 0.4)
+        report = tiny_sweep(eps, **kwargs)
+        assert report.valid == [True, False, True]
+        assert list(report.metadata["ledgers"]) == [0.5, 0.3]
+        for name in DIST_COLUMNS:
+            col = report.columns[name]
+            assert np.isnan(col[1]), name
+            assert bits([col[0], col[2]]) == bits([clean.columns[name][0], clean.columns[name][2]])
+
+    def test_diverged_reference_aborts(self, monkeypatch):
+        diverge_after(monkeypatch, 2, "local")
+        with pytest.raises(RuntimeError, match="local reference run diverged"):
+            tiny_sweep([0.5, 0.3], dt=1e-3, t_end=1e-2, sample_count=4)
+
+    def test_memory_does_not_grow_with_samples(self):
+        # 40 steps: two samples or one per step must peak within one state
+        grid = sweep_grid()
+        state0 = spinodal_state(grid)
+        state_bytes = (
+            state0.phi.nbytes + state0.theta.nbytes + state0.vel.u.nbytes + state0.vel.v.nbytes
+        )
+
+        def peak(sample_count):
+            tracemalloc.start()
+            try:
+                report = tiny_sweep([0.5, 0.3], dt=1e-3, t_end=40e-3, sample_count=sample_count)
+                return tracemalloc.get_traced_memory()[1], report.metadata["sample_every"]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # warm the per-grid and FFT caches outside the measurement
+        few, every_20 = peak(2)
+        many, every_1 = peak(40)
+        assert (every_20, every_1) == (20, 1)
+        assert abs(many - few) < state_bytes

@@ -395,6 +395,20 @@ class TestSharedChemicalPotential:
             assert e_prev == row["E_total"]
             assert np.array_equal(state.mu, model.chemical_potential(state.phi, state.theta))
 
+    def test_ledger_energy_parts_match_their_formulas(self, grid32, mode):
+        # F_integral, kinetic and thermal share the integrals of E_total
+        model, state, forcing = coupled_flow_setup(grid32, mode)
+        pot, mat, area = model.potential, model.material, grid32.cell_area
+        ledger = EnergyLedger()
+        for _ in range(self.steps):
+            state, _ = advance(model, state, self.dt, forcing, ledger=ledger)
+            row = ledger.rows[-1]
+            u_sq = np.sum(state.vel.u**2) + np.sum(state.vel.v**2)
+            assert row["F_integral"] == pot.eta_f * float(np.sum(pot.f(state.phi)) * area)
+            assert row["kinetic"] == float(u_sq * area) / (2.0 * mat.K_cap * mat.l_c)
+            assert row["thermal"] == float(np.sum(state.theta**2) * area) / (2.0 * mat.l_h)
+            assert row["E_total"] == model.total_energy(state)
+
     def test_missing_mu_is_recomputed(self, grid32, mode):
         model, state, forcing = coupled_flow_setup(grid32, mode)
         ledger = EnergyLedger()
