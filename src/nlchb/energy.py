@@ -40,7 +40,6 @@ __all__ = [
     "energy_budget_residual",
     "mac_l2_sq",
     "mac_deformation",
-    "deformation_norm_sq",
 ]
 
 LEDGER_COLUMNS = (
@@ -205,13 +204,26 @@ def _nu_at_corners(grid: Grid, nu_centers: np.ndarray) -> np.ndarray:
     return 0.25 * (pad[:-1, :-1] + pad[1:, :-1] + pad[:-1, 1:] + pad[1:, 1:])
 
 
-def deformation_norm_sq(grid: Grid, vel: MacVelocity, nu_centers: np.ndarray) -> float:
-    """int nu(phi) |D u|^2 on the staggered grid (|Du|^2 = Dxx^2 + Dyy^2 + 2 Dxy^2)."""
-    dxx, dyy, dxy = mac_deformation(grid, vel)
-    diag = float(np.sum(nu_centers * (dxx**2 + dyy**2)) * grid.cell_area)
-    nu_c = _nu_at_corners(grid, nu_centers)
-    off = float(np.sum(_corner_weights(grid) * nu_c * 2.0 * dxy**2))
-    return diag + off
+def _viscous_parts(
+    grid: Grid, material: MaterialParams, phi: np.ndarray, vel: MacVelocity
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(nu(phi) at centers, nu at corners, mac_deformation(vel)) of one state.
+
+    The dissipation of a state and the variable-viscosity remainder of the
+    step that starts from it both read these.
+    """
+    nu = viscosity(material, phi)
+    return nu, _nu_at_corners(grid, nu), mac_deformation(grid, vel)
+
+
+def _g_dot_u(material: MaterialParams, vel: MacVelocity) -> np.ndarray | float:
+    """g . u at cell centers (0.0 when g is zero)."""
+    gx, gy = material.g
+    if gx == 0.0 and gy == 0.0:
+        return 0.0
+    u_c = 0.5 * (vel.u[1:, :] + vel.u[:-1, :])
+    v_c = 0.5 * (vel.v[:, 1:] + vel.v[:, :-1])
+    return gx * u_c + gy * v_c
 
 
 def dissipation(
@@ -221,16 +233,23 @@ def dissipation(
     vel: MacVelocity,
     theta: np.ndarray,
     material: MaterialParams,
+    viscous: tuple | None = None,
 ) -> float:
-    """D = (1/l_c)|grad mu|^2 + (2/(K l_c)) |sqrt(nu) D u|^2 + (kappa/l_h)|grad theta|^2."""
+    """D = (1/l_c)|grad mu|^2 + (2/(K l_c)) |sqrt(nu) D u|^2 + (kappa/l_h)|grad theta|^2.
+
+    |sqrt(nu) D u|^2 = int nu(phi) (Dxx^2 + Dyy^2 + 2 Dxy^2) on the staggered
+    grid; `viscous` is `_viscous_parts` of (phi, vel), computed here when None.
+    """
     gmx, gmy = gradient_cc(grid, mu)
     grad_mu_sq = float(np.sum(gmx**2 + gmy**2) * grid.cell_area)
     gtx, gty = gradient_cc(grid, theta)
     grad_th_sq = float(np.sum(gtx**2 + gty**2) * grid.cell_area)
-    visc = deformation_norm_sq(grid, vel, viscosity(material, phi))
+    nu, nu_c, (dxx, dyy, dxy) = viscous or _viscous_parts(grid, material, phi, vel)
+    diag = float(np.sum(nu * (dxx**2 + dyy**2)) * grid.cell_area)
+    off = float(np.sum(_corner_weights(grid) * nu_c * 2.0 * dxy**2))
     return (
         grad_mu_sq / material.l_c
-        + 2.0 * visc / (material.K_cap * material.l_c)
+        + 2.0 * (diag + off) / (material.K_cap * material.l_c)
         + material.kappa * grad_th_sq / material.l_h
     )
 
@@ -243,11 +262,14 @@ def work_terms(
     material: MaterialParams,
     q_faces: tuple[np.ndarray, np.ndarray] | None,
     z_centers: np.ndarray | None,
+    buoy: tuple[np.ndarray, np.ndarray] | None = None,
+    g_dot_u: np.ndarray | float | None = None,
 ) -> dict[str, float]:
     """Forcing power entering the energy budget, with the combining prefactors.
 
     Returns the four named contributions; each already carries 1/(K l_c) (the
-    momentum pair) or 1/l_h (the heat pair).
+    momentum pair) or 1/l_h (the heat pair). `buoy` is buoyancy(phi, theta)
+    and `g_dot_u` is `_g_dot_u(material, vel)`; each is computed here when None.
     """
     kl = material.K_cap * material.l_c
     out = {"work_q": 0.0, "work_buoy": 0.0, "work_z": 0.0, "work_gu": 0.0}
@@ -256,7 +278,7 @@ def work_terms(
         qx, qy = q_faces
         out["work_q"] = float((np.sum(qx * vel.u) + np.sum(qy * vel.v)) * grid.cell_area) / kl
 
-    bx, by = buoyancy(grid, material, phi, theta)
+    bx, by = buoy or buoyancy(grid, material, phi, theta)
     out["work_buoy"] = float((np.sum(bx * vel.u) + np.sum(by * vel.v)) * grid.cell_area) / kl
 
     if z_centers is not None:
@@ -264,9 +286,7 @@ def work_terms(
 
     gx, gy = material.g
     if gx != 0.0 or gy != 0.0:
-        u_c = 0.5 * (vel.u[1:, :] + vel.u[:-1, :])
-        v_c = 0.5 * (vel.v[:, 1:] + vel.v[:, :-1])
-        gu = gx * u_c + gy * v_c
+        gu = _g_dot_u(material, vel) if g_dot_u is None else g_dot_u
         out["work_gu"] = float(np.sum(gu * theta) * grid.cell_area) / material.l_h
     return out
 

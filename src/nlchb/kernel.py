@@ -13,7 +13,9 @@ pins this normalization through the cos(pi x) cos(pi y) fixture.
 
 Convolution is the midpoint-rule discretization of the domain-restricted
 integral, evaluated by zero-padded circular FFT on a (2nx, 2ny) lattice
-(exact: padding doubles the support so no wrap-around aliasing occurs).
+(exact: padding doubles the support so no wrap-around aliasing occurs). The
+padded transform is pruned: the row passes skip the zero rows on the way in
+and the discarded rows on the way out (see `convolve`).
 """
 
 from __future__ import annotations
@@ -373,13 +375,25 @@ def _check_same_grid(kernel: KernelGrid, values: np.ndarray) -> None:
 
 
 def convolve(kernel: KernelGrid, values: np.ndarray) -> np.ndarray:
-    """(J * phi)(x) = int_Omega J(x - y) phi(y) dy by zero-padded FFT."""
+    """(J * phi)(x) = int_Omega J(x - y) phi(y) dy by zero-padded FFT.
+
+    The result is bitwise that of `irfft2(rfft2(pad) * spectrum)` on the
+    (2nx, 2ny) zero-padded field, computed pass by pass: `rfft2` is an r2c
+    pass along axis 1 and then a c2c pass along axis 0, `irfft2` the reverse.
+    Rows nx..2nx-1 of the padded field are zero, so the r2c pass runs only on
+    the nx rows of `values`; only rows < nx of the result are kept, so the
+    c2r pass runs only on those. Both inverse passes are unnormalised and the
+    1/(4 nx ny) of `irfft2` is applied once, at the end, as `irfft2` applies
+    it; scaling each pass on its own changes the rounding.
+    """
     _check_same_grid(kernel, values)
     g = kernel.grid
-    pad = np.zeros((2 * g.nx, 2 * g.ny))
-    pad[: g.nx, : g.ny] = values
-    out = _fft.irfft2(_fft.rfft2(pad) * kernel.spectrum(), s=pad.shape)
-    return out[: g.nx, : g.ny] * g.cell_area
+    nx, ny = g.nx, g.ny
+    spec = _fft.fft(_fft.rfft(values, n=2 * ny, axis=1), n=2 * nx, axis=0, overwrite_x=True)
+    spec *= kernel.spectrum()
+    rows = _fft.ifft(spec, axis=0, norm="forward", overwrite_x=True)[:nx]
+    out = _fft.irfft(rows, n=2 * ny, axis=1, norm="forward")[:, :ny]
+    return out * (1.0 / (4 * nx * ny)) * g.cell_area
 
 
 def convolve_direct(kernel: KernelGrid, values: np.ndarray) -> np.ndarray:
@@ -400,10 +414,9 @@ def convolve_direct(kernel: KernelGrid, values: np.ndarray) -> np.ndarray:
     return out * g.cell_area
 
 
-def compute_a(kernel: KernelGrid, grid: Grid | None = None) -> np.ndarray:
+def compute_a(kernel: KernelGrid) -> np.ndarray:
     """a(x) = int_Omega J(x - y) dy, i.e. the kernel convolved with 1."""
-    g = grid if grid is not None else kernel.grid
-    a = convolve(kernel, np.ones(g.shape))
+    a = convolve(kernel, np.ones(kernel.grid.shape))
     if float(a.min()) < -1e-14:
         raise ValueError(
             f"coefficient a(x) has negative values (min {a.min():.3e}); kernel sampling bug"

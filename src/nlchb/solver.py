@@ -26,6 +26,7 @@ liberty taken with the continuous formulation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,6 +35,8 @@ from scipy import fft as _fft
 from .energy import (
     EnergyLedger,
     _energy_integrals,
+    _g_dot_u,
+    _viscous_parts,
     dissipation,
     e_local,
     e_nl,
@@ -59,7 +62,6 @@ from .physics import (
     buoyancy,
     mu_local,
     mu_nonlocal,
-    viscosity,
 )
 
 __all__ = [
@@ -89,14 +91,26 @@ class BlowUpError(RuntimeError):
 
 @dataclass
 class SimState:
-    """Time-stepped solution triple plus its chemical potential.
+    """Time-stepped solution triple plus terms derived from it.
 
-    `mu` is the chemical potential of (phi, theta), read back by the next
-    `step_ch`. A ledgered `integrate` sets it on its starting state and a
-    ledgered `advance` on every state it produces, both from the J*phi that
-    also gives the interface energy. It is None for an initial or resumed
-    state outside such a run and after an unledgered step; `step_ch` then
-    computes it. A caller that replaces phi or theta must reset mu to None.
+    The ledger of a step needs terms of the state it produces that the next
+    step needs again; they are carried on the state so each is computed once:
+
+    * `mu`: the chemical potential of (phi, theta), read by `step_ch`;
+    * `energy`: the total energy E, read by a ledgered `advance` as the
+      energy before its step;
+    * `viscous`: `energy._viscous_parts` of (phi, vel), i.e. nu(phi) at
+      centers, nu at corners and `mac_deformation(vel)`, read by `step_ns`;
+    * `g_dot_u`: g . u at centers (`energy._g_dot_u`), read by `step_heat`.
+
+    A ledgered `advance` sets all four on every state it produces (mu and E
+    from the one J*phi that also gives the interface energy), and a ledgered
+    `integrate` sets mu and energy on its starting state when either is
+    missing. They are None for an initial or resumed state, after an
+    unledgered step and on a `copy()`; the readers then compute them. The
+    terms belong to the model that set them. A caller that changes phi,
+    theta or vel, or steps the state with another model, must reset all
+    four to None (or step a `copy()`).
     """
 
     t: float
@@ -105,15 +119,18 @@ class SimState:
     theta: np.ndarray
     vel: MacVelocity
     mu: np.ndarray | None = None
+    energy: float | None = None
+    viscous: tuple | None = None
+    g_dot_u: np.ndarray | float | None = None
 
     def copy(self) -> "SimState":
+        """Deep copy of t, step, phi, theta and vel; the derived terms are dropped."""
         return SimState(
             t=self.t,
             step=self.step,
             phi=self.phi.copy(),
             theta=self.theta.copy(),
             vel=self.vel.copy(),
-            mu=None if self.mu is None else self.mu.copy(),
         )
 
     def is_finite(self) -> bool:
@@ -283,18 +300,15 @@ def step_heat(
     dt: float,
     z: np.ndarray | None,
 ) -> np.ndarray:
-    """Implicit-diffusion update of theta via the latent balance h = theta - l_h phi."""
+    """Implicit-diffusion update of theta via the latent balance h = theta - l_h phi.
+
+    Reads g . u of the old state from `state.g_dot_u` when set.
+    """
     g = model.grid
     mat = model.material
     h = state.theta - mat.l_h * state.phi
     adv = advect_scalar(g, state.vel, h) if state.vel.max_speed() > 0.0 else 0.0
-
-    gx, gy = mat.g
-    gu = 0.0
-    if gx != 0.0 or gy != 0.0:
-        u_c = 0.5 * (state.vel.u[1:, :] + state.vel.u[:-1, :])
-        v_c = 0.5 * (state.vel.v[:, 1:] + state.vel.v[:, :-1])
-        gu = gx * u_c + gy * v_c
+    gu = state.g_dot_u if state.g_dot_u is not None else _g_dot_u(mat, state.vel)
 
     rhs = h / dt - adv + gu + (z if z is not None else 0.0) + mat.l_h * phi_next / dt
     theta_next = helmholtz_solve(g, 1.0 / dt, mat.kappa, rhs)
@@ -303,25 +317,36 @@ def step_heat(
     return theta_next
 
 
-def _sine_eigs(n: int, d: float, count: int, offset: int) -> np.ndarray:
-    k = np.arange(count) + offset
-    return (2.0 / d**2) * (1.0 - np.cos(np.pi * k / n))
+@functools.lru_cache(maxsize=16)
+def _sine_eigs(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of -Delta on the interior x-faces (sine-I in x, sine-II in y)
+    and on the interior y-faces (sine-II in x, sine-I in y).
+
+    Built once per grid and returned read-only.
+    """
+
+    def eigs(n: int, d: float, count: int) -> np.ndarray:
+        k = np.arange(count) + 1
+        return (2.0 / d**2) * (1.0 - np.cos(np.pi * k / n))
+
+    nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
+    lam_u = eigs(nx, dx, nx - 1)[:, None] + eigs(ny, dy, ny)[None, :]
+    lam_v = eigs(nx, dx, nx)[:, None] + eigs(ny, dy, ny - 1)[None, :]
+    lam_u.flags.writeable = False
+    lam_v.flags.writeable = False
+    return lam_u, lam_v
 
 
 def _implicit_u_solve(grid: Grid, alpha: float, nu: float, rhs_int: np.ndarray) -> np.ndarray:
     """(alpha - nu Delta) on interior x-faces: sine-I in x, sine-II in y."""
-    lamx = _sine_eigs(grid.nx, grid.dx, grid.nx - 1, 1)
-    lamy = _sine_eigs(grid.ny, grid.dy, grid.ny, 1)
     chat = _fft.dst(_fft.dst(rhs_int, type=1, axis=0), type=2, axis=1)
-    chat /= alpha + nu * (lamx[:, None] + lamy[None, :])
+    chat /= alpha + nu * _sine_eigs(grid)[0]
     return _fft.idst(_fft.idst(chat, type=2, axis=1), type=1, axis=0)
 
 
 def _implicit_v_solve(grid: Grid, alpha: float, nu: float, rhs_int: np.ndarray) -> np.ndarray:
-    lamx = _sine_eigs(grid.nx, grid.dx, grid.nx, 1)
-    lamy = _sine_eigs(grid.ny, grid.dy, grid.ny - 1, 1)
     chat = _fft.dst(_fft.dst(rhs_int, type=2, axis=0), type=1, axis=1)
-    chat /= alpha + nu * (lamx[:, None] + lamy[None, :])
+    chat /= alpha + nu * _sine_eigs(grid)[1]
     return _fft.idst(_fft.idst(chat, type=2, axis=0), type=1, axis=1)
 
 
@@ -356,14 +381,16 @@ def momentum_advection(grid: Grid, vel: MacVelocity) -> tuple[np.ndarray, np.nda
 
 
 def viscous_remainder(
-    grid: Grid, vel: MacVelocity, nu_centers: np.ndarray, nu_bar: float
+    grid: Grid, viscous: tuple, nu_bar: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """div(2 (nu - nu_bar) D u) on interior faces (explicit split part)."""
-    from .energy import _nu_at_corners, mac_deformation
+    """div(2 (nu - nu_bar) D u) on interior faces (explicit split part).
 
-    dxx, dyy, dxy = mac_deformation(grid, vel)
+    `viscous` is `_viscous_parts` of the state: nu at centers and corners
+    and the deformation.
+    """
+    nu_centers, nu_corners, (dxx, dyy, dxy) = viscous
     dnu_c = nu_centers - nu_bar
-    dnu_cor = _nu_at_corners(grid, nu_centers) - nu_bar
+    dnu_cor = nu_corners - nu_bar
 
     txx = 2.0 * dnu_c * dxx
     tyy = 2.0 * dnu_c * dyy
@@ -414,12 +441,15 @@ def step_ns(
     mu_half: np.ndarray,
     dt: float,
     q: tuple[np.ndarray, np.ndarray] | None,
+    buoy: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> MacVelocity:
     """Explicit forces + implicit mean viscosity + projection.
 
     The assembled right-hand side is projected before the viscous solve (and
     the result projected again after it), so purely gradient forces such as a
     uniform buoyancy on a constant state leave a resting fluid exactly at rest.
+    Reads the old state's viscous parts from `state.viscous` when set; `buoy`
+    is buoyancy(phi_next, theta_next), computed here when None.
     """
     g = model.grid
     mat = model.material
@@ -434,12 +464,13 @@ def step_ns(
         rhs.u[1:-1, :] -= adv_u
         rhs.v[:, 1:-1] -= adv_v
         if mat.nu_max > mat.nu_min:
-            rem_u, rem_v = viscous_remainder(g, vel, viscosity(mat, state.phi), mat.nu_bar)
+            viscous = state.viscous or _viscous_parts(g, mat, state.phi, vel)
+            rem_u, rem_v = viscous_remainder(g, viscous, mat.nu_bar)
             rhs.u[1:-1, :] += rem_u
             rhs.v[:, 1:-1] += rem_v
 
     kx, ky = korteweg_force(g, mat, mu_half, theta_next, phi_next)
-    bx, by = buoyancy(g, mat, phi_next, theta_next)
+    bx, by = buoy or buoyancy(g, mat, phi_next, theta_next)
     rhs.u[1:-1, :] += kx[1:-1, :] + bx[1:-1, :]
     rhs.v[:, 1:-1] += ky[:, 1:-1] + by[:, 1:-1]
     if q is not None:
@@ -485,15 +516,25 @@ def _ledger_row(
     e_prev: float,
     dt: float,
     forcing: Forcing,
+    buoy: tuple[np.ndarray, np.ndarray],
 ) -> tuple[dict, float]:
+    """The ledger row of `state_next` and its energy; reads the state's
+    carried mu, viscous parts and g . u."""
     g = model.grid
     mat = model.material
-    mu_next = state_next.mu
     integrals = _energy_integrals(
         g, state_next.phi, state_next.theta, state_next.vel, model.potential
     )
     e_next = model.total_energy(state_next, interface, integrals)
-    diss = dissipation(g, state_next.phi, mu_next, state_next.vel, state_next.theta, mat)
+    diss = dissipation(
+        g,
+        state_next.phi,
+        state_next.mu,
+        state_next.vel,
+        state_next.theta,
+        mat,
+        state_next.viscous,
+    )
     works = work_terms(
         g,
         state_next.phi,
@@ -502,6 +543,8 @@ def _ledger_row(
         mat,
         forcing.q,
         forcing.z,
+        buoy,
+        state_next.g_dot_u,
     )
     work_sum = sum(works.values())
     resid = energy_budget_residual(e_prev, e_next, diss, work_sum, dt)
@@ -535,14 +578,21 @@ def advance(
 ) -> tuple[SimState, float | None]:
     """One full step (phi -> theta -> velocity); returns (state, energy) where
     energy is the ledger-consistent total energy of the new state (None when
-    no ledger is kept)."""
+    no ledger is kept).
+
+    With a ledger, `e_prev` is the energy of `state`: when None it is read
+    from `state.energy`, and computed when that is None too. The new state
+    then carries its mu, energy, viscous parts and g . u (see `SimState`).
+    """
     forcing = forcing or Forcing()
     t_next = state.t + dt
+    g, mat = model.grid, model.material
 
     try:
         phi_next, mu_half = step_ch(model, state, dt)
         theta_next = step_heat(model, state, phi_next, dt, forcing.z)
-        vel_next = step_ns(model, state, phi_next, theta_next, mu_half, dt, forcing.q)
+        buoy = buoyancy(g, mat, phi_next, theta_next)
+        vel_next = step_ns(model, state, phi_next, theta_next, mu_half, dt, forcing.q, buoy)
     except NonFiniteError as exc:
         # overflow inside a sub-step surfaces as a finiteness error; report it
         # as a blow-up carrying the last good state
@@ -560,17 +610,20 @@ def advance(
         if max_div > 1e-10:
             raise RuntimeError(f"incompressibility violated: max |div u| = {max_div:.3e}")
 
-    energy_next: float | None = None
     if ledger is not None:
         try:
             state_next.mu, interface = model.mu_and_interface(phi_next, theta_next)
+            state_next.viscous = _viscous_parts(g, mat, phi_next, vel_next)
+            state_next.g_dot_u = _g_dot_u(mat, vel_next)
             if e_prev is None:
-                e_prev = model.total_energy(state)
-            row, energy_next = _ledger_row(model, state_next, interface, e_prev, dt, forcing)
+                e_prev = state.energy if state.energy is not None else model.total_energy(state)
+            row, state_next.energy = _ledger_row(
+                model, state_next, interface, e_prev, dt, forcing, buoy
+            )
             ledger.append(row)
         except NonFiniteError as exc:
             raise BlowUpError(f"step diverged: {exc}", state) from exc
-    return state_next, energy_next
+    return state_next, state_next.energy
 
 
 def integrate(
@@ -586,18 +639,17 @@ def integrate(
     """Advance with fixed dt while t < t_end - dt/2; returns the last state.
 
     `on_step(state)` is called after every step. A ledgered run starts from
-    the chemical potential and the energy of `state`, derived from one J*phi;
-    the caller's state is left as it was.
+    the chemical potential and the energy of `state`: those it carries (as a
+    state from a ledgered run does), else both derived from one J*phi; the
+    caller's state is left as it was.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    e_prev = None
-    if ledger is not None:
+    if ledger is not None and (state.mu is None or state.energy is None):
         mu, interface = model.mu_and_interface(state.phi, state.theta)
-        state = replace(state, mu=mu)
-        e_prev = model.total_energy(state, interface)
+        state = replace(state, mu=mu, energy=model.total_energy(state, interface))
     while state.t < t_end - 0.5 * dt:
-        state, e_prev = advance(model, state, dt, forcing, ledger, e_prev, check_invariants)
+        state, _ = advance(model, state, dt, forcing, ledger, None, check_invariants)
         if on_step is not None:
             on_step(state)
     return state

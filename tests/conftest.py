@@ -3,6 +3,8 @@
 These parameters are frozen; the acceptance suite depends on them.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -73,3 +75,19 @@ def grid64():
 @pytest.fixture(scope="session")
 def grid32():
     return make_grid(32, 32, 1.0, 1.0)
+
+
+def count_calls(monkeypatch, raw):
+    """Wrap the function `raw` at every nlchb binding; returns the list of calls."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return raw(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "nlchb" or name.startswith("nlchb.")):
+            for key, value in list(vars(module).items()):
+                if value is raw:
+                    monkeypatch.setattr(module, key, counted)
+    return calls

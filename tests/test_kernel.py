@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import fft as sfft
 from scipy import integrate
 
 from nlchb.grid import make_grid
@@ -272,6 +273,41 @@ class TestConvolve:
     def test_grid_mismatch_rejected(self):
         with pytest.raises(ValueError):
             convolve(self.kernel, np.zeros((8, 8)))
+
+
+def padded_rfft2_convolve(kernel, values):
+    """Oracle: the whole (2nx, 2ny) zero-padded field through rfft2 and irfft2."""
+    g = kernel.grid
+    pad = np.zeros((2 * g.nx, 2 * g.ny))
+    pad[: g.nx, : g.ny] = values
+    out = sfft.irfft2(sfft.rfft2(pad) * kernel.spectrum(), s=pad.shape)
+    return out[: g.nx, : g.ny] * g.cell_area
+
+
+class TestPrunedConvolve:
+    """`convolve` skips the zero rows and the discarded rows of the padded
+    transform; it must still give the bits of the full rfft2/irfft2 pair.
+    Odd, prime and mixed sizes matter: normalising each inverse pass on its
+    own agrees with the oracle only when nx is a power of two."""
+
+    @pytest.mark.parametrize(
+        "nx, ny, eps",
+        [
+            (8, 8, 0.4),
+            (9, 13, 0.4),
+            (16, 24, 0.3),
+            (33, 17, 0.3),
+            (48, 48, 0.2),
+            (100, 75, 0.1),
+            (256, 256, 0.1),
+        ],
+    )
+    def test_bit_equal_to_padded_rfft2(self, nx, ny, eps):
+        kernel = sample_kernel(calibrate_mollifier(0.5), eps, make_grid(nx, ny, 1.0, 1.3))
+        rng = np.random.default_rng(nx * 1000 + ny)
+        for amplitude in (1e-8, 1e-4, 1.0, 1e3):
+            phi = amplitude * (rng.standard_normal((nx, ny)) + 0.3)
+            assert np.array_equal(convolve(kernel, phi), padded_rfft2_convolve(kernel, phi))
 
 
 class TestConvolveDirect:

@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import spinodal_material, spinodal_potential, spinodal_state
+from conftest import count_calls, spinodal_material, spinodal_potential, spinodal_state
+import nlchb.kernel
 import nlchb.solver
 from nlchb.energy import EnergyLedger, total_energy
 from nlchb.grid import make_grid
@@ -129,6 +130,20 @@ class TestSolutionSweep:
         for ledger in report.metadata["ledgers"].values():
             mass = ledger.column("mass_phi") / (grid.Lx * grid.Ly)
             assert np.abs(mass - mass0).max() <= 1e-10
+
+    def test_ledgered_intervals_start_without_a_new_convolution(self, monkeypatch):
+        # a sampling interval starts from the mu and E its last state carries:
+        # one J*phi per model build (a), one per member start and one per step
+        grid = make_grid(32, 32, 1.0, 1.0)
+        calls = count_calls(monkeypatch, nlchb.kernel.convolve)
+        eps = [0.25, 0.125]
+        report = solution_sweep(
+            grid, spinodal_potential(), spinodal_material(), spinodal_state(grid),
+            eps, gamma=0.5, t_end=0.02, sample_count=10, keep_ledgers=True,
+        )
+        md = report.metadata
+        assert (md["n_steps"], md["sample_every"]) == (30, 3)  # 10 sampling intervals
+        assert len(calls) == len(eps) * (1 + 1 + md["n_steps"]) == 64
 
     def test_each_model_built_once(self, monkeypatch):
         # with dt auto the smallest-eps model sets dt and then runs: eps + 1 builds

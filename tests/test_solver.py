@@ -1,13 +1,20 @@
 """Time-stepper tests: fixed points, conservation, one-mode recurrences, order."""
 
-import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import smooth_flow_state, spinodal_material, spinodal_potential, spinodal_state
+from conftest import (
+    count_calls,
+    smooth_flow_state,
+    spinodal_material,
+    spinodal_potential,
+    spinodal_state,
+)
+import nlchb.energy
 import nlchb.kernel
+import nlchb.physics
 from nlchb.energy import EnergyLedger
 from nlchb.grid import MacVelocity, NonFiniteError, make_grid
 from nlchb.physics import MaterialParams, PotentialParams
@@ -41,19 +48,7 @@ def uniform_forcing(grid, qx=0.0, z=0.0):
 
 def count_convolutions(monkeypatch):
     """Wrap kernel.convolve at every nlchb binding; returns the list of calls."""
-    raw = nlchb.kernel.convolve
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return raw(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if module is not None and (name == "nlchb" or name.startswith("nlchb.")):
-            for key, value in list(vars(module).items()):
-                if value is raw:
-                    monkeypatch.setattr(module, key, counted)
-    return calls
+    return count_calls(monkeypatch, nlchb.kernel.convolve)
 
 
 def random_divfree(grid, seed=0, amp=1.0):
@@ -434,6 +429,46 @@ class TestSharedChemicalPotential:
         state.mu = None
         advance(model, state, self.dt, forcing, ledger=ledger, e_prev=e_prev)
         assert len(calls) == (self.steps + 1 if mode == "nonlocal" else 0)
+
+
+@pytest.mark.parametrize("mode", ["nonlocal", "local"])
+class TestCarriedTerms:
+    """A ledgered advance leaves mu, E, the viscous parts and g . u on the
+    state it produces, and the next step reads them instead of recomputing
+    them; none of it may change a bit."""
+
+    dt = 5e-4
+    steps = 4
+
+    def test_copies_drop_carried_terms_and_change_no_bit(self, grid32, mode):
+        model, state0, forcing = coupled_flow_setup(grid32, mode)
+        carried, carried_ledger = state0, EnergyLedger()
+        fresh, fresh_ledger = state0, EnergyLedger()
+        for _ in range(self.steps):
+            carried, _ = advance(model, carried, self.dt, forcing, ledger=carried_ledger)
+            fresh = fresh.copy()
+            assert all(x is None for x in (fresh.mu, fresh.energy, fresh.viscous, fresh.g_dot_u))
+            fresh, _ = advance(model, fresh, self.dt, forcing, ledger=fresh_ledger)
+            assert_same_state(carried, fresh)
+            assert carried.viscous is not None and carried.g_dot_u is not None
+        assert carried_ledger.rows == fresh_ledger.rows
+
+    def test_each_state_term_computed_once_per_ledgered_step(self, grid32, mode, monkeypatch):
+        model, state, forcing = coupled_flow_setup(grid32, mode)
+        ledger = EnergyLedger()
+        state, _ = advance(model, state, self.dt, forcing, ledger=ledger)
+        assert state.vel.max_speed() > 0.0
+        counted = {
+            "convolve": count_calls(monkeypatch, nlchb.kernel.convolve),
+            "mac_deformation": count_calls(monkeypatch, nlchb.energy.mac_deformation),
+            "viscosity": count_calls(monkeypatch, nlchb.physics.viscosity),
+            "buoyancy": count_calls(monkeypatch, nlchb.physics.buoyancy),
+        }
+        for k in range(1, self.steps):
+            state, _ = advance(model, state, self.dt, forcing, ledger=ledger)
+            for name, calls in counted.items():
+                expected = 0 if name == "convolve" and mode == "local" else k
+                assert len(calls) == expected, name
 
 
 class TestIntegrate:
