@@ -14,6 +14,8 @@ not close without them.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,7 +77,7 @@ class EnergyLedger:
             raise ValueError(f"ledger row missing columns: {sorted(missing)}")
         if self.rows and not row["t"] > self.rows[-1]["t"]:
             raise ValueError("ledger rows must be strictly increasing in t")
-        if not all(np.isfinite(row[c]) for c in LEDGER_COLUMNS):
+        if not all(math.isfinite(row[c]) for c in LEDGER_COLUMNS):
             raise NonFiniteError("ledger row contains non-finite entries")
         self.rows.append({c: float(row[c]) for c in LEDGER_COLUMNS})
 
@@ -171,36 +173,47 @@ def mac_deformation(grid: Grid, vel: MacVelocity) -> tuple[np.ndarray, np.ndarra
     Returns (Dxx, Dyy) at cell centers and Dxy at cell corners; wall values use
     the no-slip antisymmetric ghost so tangential shear at the wall is resolved.
     """
-    dxx = np.diff(vel.u, axis=0) / grid.dx
-    dyy = np.diff(vel.v, axis=1) / grid.dy
+    dxx = (vel.u[1:] - vel.u[:-1]) / grid.dx
+    dyy = (vel.v[:, 1:] - vel.v[:, :-1]) / grid.dy
 
     # du/dy at corners (nx+1, ny+1): ghost u = -u across the wall
     u_pad = np.empty((grid.nx + 1, grid.ny + 2))
     u_pad[:, 1:-1] = vel.u
     u_pad[:, 0] = -vel.u[:, 0]
     u_pad[:, -1] = -vel.u[:, -1]
-    du_dy = np.diff(u_pad, axis=1) / grid.dy
+    du_dy = (u_pad[:, 1:] - u_pad[:, :-1]) / grid.dy
 
     v_pad = np.empty((grid.nx + 2, grid.ny + 1))
     v_pad[1:-1, :] = vel.v
     v_pad[0, :] = -vel.v[0, :]
     v_pad[-1, :] = -vel.v[-1, :]
-    dv_dx = np.diff(v_pad, axis=0) / grid.dx
+    dv_dx = (v_pad[1:] - v_pad[:-1]) / grid.dx
 
     dxy = 0.5 * (du_dy + dv_dx)
     return dxx, dyy, dxy
 
 
+@functools.lru_cache(maxsize=16)
 def _corner_weights(grid: Grid) -> np.ndarray:
+    """Trapezoid weights of the cell corners times the cell area; built once
+    per grid and returned read-only."""
     wx = np.ones(grid.nx + 1)
     wx[0] = wx[-1] = 0.5
     wy = np.ones(grid.ny + 1)
     wy[0] = wy[-1] = 0.5
-    return wx[:, None] * wy[None, :] * grid.cell_area
+    w = wx[:, None] * wy[None, :] * grid.cell_area
+    w.flags.writeable = False
+    return w
 
 
 def _nu_at_corners(grid: Grid, nu_centers: np.ndarray) -> np.ndarray:
-    pad = np.pad(nu_centers, 1, mode="edge")
+    """Mean of the four centres around each corner, edge cells repeated outward."""
+    pad = np.empty((grid.nx + 2, grid.ny + 2))
+    pad[1:-1, 1:-1] = nu_centers
+    pad[0, 1:-1] = nu_centers[0]
+    pad[-1, 1:-1] = nu_centers[-1]
+    pad[:, 0] = pad[:, 1]
+    pad[:, -1] = pad[:, -2]
     return 0.25 * (pad[:-1, :-1] + pad[1:, :-1] + pad[:-1, 1:] + pad[1:, 1:])
 
 
@@ -270,6 +283,8 @@ def work_terms(
     Returns the four named contributions; each already carries 1/(K l_c) (the
     momentum pair) or 1/l_h (the heat pair). `buoy` is buoyancy(phi, theta)
     and `g_dot_u` is `_g_dot_u(material, vel)`; each is computed here when None.
+    With zero gravity both are identically zero, and `work_buoy` and
+    `work_gu` stay 0.0 without being summed.
     """
     kl = material.K_cap * material.l_c
     out = {"work_q": 0.0, "work_buoy": 0.0, "work_z": 0.0, "work_gu": 0.0}
@@ -278,14 +293,12 @@ def work_terms(
         qx, qy = q_faces
         out["work_q"] = float((np.sum(qx * vel.u) + np.sum(qy * vel.v)) * grid.cell_area) / kl
 
-    bx, by = buoy or buoyancy(grid, material, phi, theta)
-    out["work_buoy"] = float((np.sum(bx * vel.u) + np.sum(by * vel.v)) * grid.cell_area) / kl
-
     if z_centers is not None:
         out["work_z"] = float(np.sum(z_centers * theta) * grid.cell_area) / material.l_h
 
-    gx, gy = material.g
-    if gx != 0.0 or gy != 0.0:
+    if any(material.g):
+        bx, by = buoy or buoyancy(grid, material, phi, theta)
+        out["work_buoy"] = float((np.sum(bx * vel.u) + np.sum(by * vel.v)) * grid.cell_area) / kl
         gu = _g_dot_u(material, vel) if g_dot_u is None else g_dot_u
         out["work_gu"] = float(np.sum(gu * theta) * grid.cell_area) / material.l_h
     return out

@@ -9,6 +9,7 @@ homogeneous Neumann boundary conditions realised by even ghost reflection.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,7 +148,7 @@ class MacVelocity:
     def divergence(self) -> np.ndarray:
         """Discrete divergence at cell centers."""
         g = self.grid
-        return np.diff(self.u, axis=0) / g.dx + np.diff(self.v, axis=1) / g.dy
+        return (self.u[1:] - self.u[:-1]) / g.dx + (self.v[:, 1:] - self.v[:, :-1]) / g.dy
 
     def max_speed(self) -> float:
         mu = float(np.max(np.abs(self.u))) if self.u.size else 0.0
@@ -184,14 +185,29 @@ def laplacian_neumann(grid: Grid, values: np.ndarray) -> np.ndarray:
     return dct2_inverse(grid, -grid.laplacian_eigenvalues() * coeffs)
 
 
+@functools.lru_cache(maxsize=32)
+def _helmholtz_denominator(grid: Grid, alpha: float, beta: float) -> np.ndarray:
+    """alpha + beta * lambda, built once per (grid, alpha, beta) and returned read-only."""
+    den = alpha + beta * grid.laplacian_eigenvalues()
+    den.flags.writeable = False
+    return den
+
+
 def helmholtz_solve(grid: Grid, alpha: float, beta: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (alpha*I - beta*Delta_N) w = rhs by diagonal spectral division."""
+    """Solve (alpha*I - beta*Delta_N) w = rhs by diagonal spectral division.
+
+    The denominator alpha + beta * lambda is fixed for a run (alpha = 1/dt,
+    beta = S or kappa). It is built once per (grid, alpha, beta) and kept
+    read-only in `_helmholtz_denominator`, an LRU cache of 32 entries (a
+    sweep holds one S per member) that nothing needs to reset.
+    """
     if alpha <= 0.0:
         raise ValueError("helmholtz_solve requires alpha > 0 (singular on constants otherwise)")
     if beta < 0.0:
         raise ValueError("helmholtz_solve requires beta >= 0")
     coeffs = dct2_transform(grid, rhs)
-    return dct2_inverse(grid, coeffs / (alpha + beta * grid.laplacian_eigenvalues()))
+    coeffs /= _helmholtz_denominator(grid, alpha, beta)
+    return dct2_inverse(grid, coeffs)
 
 
 def gradient_cc(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

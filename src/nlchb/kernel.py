@@ -20,6 +20,7 @@ and the discarded rows on the way out (see `convolve`).
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -160,11 +161,14 @@ class Mollifier:
         return out
 
 
+@functools.lru_cache(maxsize=32)
 def calibrate_mollifier(gamma: float, d: int = 2, shape_id: str = "bump") -> Mollifier:
     """Fix c_eta so the renormalization integral equals 2/C_d.
 
     The integral is linear in c_eta, so the calibration is the unique
-    positive root of a one-dimensional linear equation.
+    positive root of a one-dimensional linear equation. `Mollifier` is
+    frozen, so one calibration per (gamma, d, shape_id) is kept and shared
+    by every model built with it (e.g. each member of an eps sweep).
     """
     if not 0.0 < gamma < d - 1:
         raise ValueError(f"gamma={gamma} outside the admissible range (0, {d - 1})")

@@ -101,16 +101,19 @@ class SimState:
       energy before its step;
     * `viscous`: `energy._viscous_parts` of (phi, vel), i.e. nu(phi) at
       centers, nu at corners and `mac_deformation(vel)`, read by `step_ns`;
-    * `g_dot_u`: g . u at centers (`energy._g_dot_u`), read by `step_heat`.
+    * `g_dot_u`: g . u at centers (`energy._g_dot_u`), read by `step_heat`;
+    * `max_u`: `vel.max_speed()`, read by `step_ch`, `step_heat`, `step_ns`
+      and the ledger row.
 
-    A ledgered `advance` sets all four on every state it produces (mu and E
-    from the one J*phi that also gives the interface energy), and a ledgered
-    `integrate` sets mu and energy on its starting state when either is
-    missing. They are None for an initial or resumed state, after an
-    unledgered step and on a `copy()`; the readers then compute them. The
-    terms belong to the model that set them. A caller that changes phi,
-    theta or vel, or steps the state with another model, must reset all
-    four to None (or step a `copy()`).
+    Every `advance` sets `max_u` on the state it produces. A ledgered
+    `advance` also sets the other four (mu and E from the one J*phi that
+    also gives the interface energy), and a ledgered `integrate` sets mu and
+    energy on its starting state when either is missing. The terms are None
+    for an initial or resumed state and on a `copy()`, and all but `max_u`
+    after an unledgered step; the readers then compute them. The terms
+    belong to the model that set them. A caller that changes phi, theta or
+    vel, or steps the state with another model, must reset all five to None
+    (or step a `copy()`).
     """
 
     t: float
@@ -122,6 +125,7 @@ class SimState:
     energy: float | None = None
     viscous: tuple | None = None
     g_dot_u: np.ndarray | float | None = None
+    max_u: float | None = None
 
     def copy(self) -> "SimState":
         """Deep copy of t, step, phi, theta and vel; the derived terms are dropped."""
@@ -131,13 +135,6 @@ class SimState:
             phi=self.phi.copy(),
             theta=self.theta.copy(),
             vel=self.vel.copy(),
-        )
-
-    def is_finite(self) -> bool:
-        return bool(
-            np.all(np.isfinite(self.phi))
-            and np.all(np.isfinite(self.theta))
-            and self.vel.is_finite()
         )
 
 
@@ -260,7 +257,12 @@ def advect_scalar(grid: Grid, vel: MacVelocity, c: np.ndarray) -> np.ndarray:
     """div(u c) in conservative flux form; discrete mass change is exactly zero."""
     fx = vel.u * centers_to_xfaces(grid, c)
     fy = vel.v * centers_to_yfaces(grid, c)
-    return np.diff(fx, axis=0) / grid.dx + np.diff(fy, axis=1) / grid.dy
+    return (fx[1:] - fx[:-1]) / grid.dx + (fy[:, 1:] - fy[:, :-1]) / grid.dy
+
+
+def _max_speed(state: SimState) -> float:
+    """The carried `state.max_u`, else `state.vel.max_speed()`."""
+    return state.max_u if state.max_u is not None else state.vel.max_speed()
 
 
 def step_ch(
@@ -273,7 +275,7 @@ def step_ch(
     g = model.grid
     S = model.stabilization
     phi, theta = state.phi, state.theta
-    adv = advect_scalar(g, state.vel, phi) if state.vel.max_speed() > 0.0 else 0.0
+    adv = advect_scalar(g, state.vel, phi) if _max_speed(state) > 0.0 else 0.0
 
     if model.mode == "nonlocal":
         mu_n = state.mu if state.mu is not None else model.chemical_potential(phi, theta)
@@ -307,7 +309,7 @@ def step_heat(
     g = model.grid
     mat = model.material
     h = state.theta - mat.l_h * state.phi
-    adv = advect_scalar(g, state.vel, h) if state.vel.max_speed() > 0.0 else 0.0
+    adv = advect_scalar(g, state.vel, h) if _max_speed(state) > 0.0 else 0.0
     gu = state.g_dot_u if state.g_dot_u is not None else _g_dot_u(mat, state.vel)
 
     rhs = h / dt - adv + gu + (z if z is not None else 0.0) + mat.l_h * phi_next / dt
@@ -318,11 +320,12 @@ def step_heat(
 
 
 @functools.lru_cache(maxsize=16)
-def _sine_eigs(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of -Delta on the interior x-faces (sine-I in x, sine-II in y)
-    and on the interior y-faces (sine-II in x, sine-I in y).
+def _sine_denominators(grid: Grid, alpha: float, nu: float) -> tuple[np.ndarray, np.ndarray]:
+    """alpha + nu * lambda for the no-slip solves, with lambda the eigenvalues of
+    -Delta on the interior x-faces (sine-I in x, sine-II in y) and on the
+    interior y-faces (sine-II in x, sine-I in y).
 
-    Built once per grid and returned read-only.
+    Built once per (grid, alpha, nu), i.e. once per run, and returned read-only.
     """
 
     def eigs(n: int, d: float, count: int) -> np.ndarray:
@@ -330,23 +333,23 @@ def _sine_eigs(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
         return (2.0 / d**2) * (1.0 - np.cos(np.pi * k / n))
 
     nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
-    lam_u = eigs(nx, dx, nx - 1)[:, None] + eigs(ny, dy, ny)[None, :]
-    lam_v = eigs(nx, dx, nx)[:, None] + eigs(ny, dy, ny - 1)[None, :]
-    lam_u.flags.writeable = False
-    lam_v.flags.writeable = False
-    return lam_u, lam_v
+    den_u = alpha + nu * (eigs(nx, dx, nx - 1)[:, None] + eigs(ny, dy, ny)[None, :])
+    den_v = alpha + nu * (eigs(nx, dx, nx)[:, None] + eigs(ny, dy, ny - 1)[None, :])
+    den_u.flags.writeable = False
+    den_v.flags.writeable = False
+    return den_u, den_v
 
 
 def _implicit_u_solve(grid: Grid, alpha: float, nu: float, rhs_int: np.ndarray) -> np.ndarray:
     """(alpha - nu Delta) on interior x-faces: sine-I in x, sine-II in y."""
     chat = _fft.dst(_fft.dst(rhs_int, type=1, axis=0), type=2, axis=1)
-    chat /= alpha + nu * _sine_eigs(grid)[0]
+    chat /= _sine_denominators(grid, alpha, nu)[0]
     return _fft.idst(_fft.idst(chat, type=2, axis=1), type=1, axis=0)
 
 
 def _implicit_v_solve(grid: Grid, alpha: float, nu: float, rhs_int: np.ndarray) -> np.ndarray:
     chat = _fft.dst(_fft.dst(rhs_int, type=2, axis=0), type=1, axis=1)
-    chat /= alpha + nu * _sine_eigs(grid)[1]
+    chat /= _sine_denominators(grid, alpha, nu)[1]
     return _fft.idst(_fft.idst(chat, type=2, axis=0), type=1, axis=1)
 
 
@@ -366,7 +369,7 @@ def momentum_advection(grid: Grid, vel: MacVelocity) -> tuple[np.ndarray, np.nda
     ucor = np.zeros((grid.nx - 1, grid.ny + 1))     # transported u at corners; walls stay 0
     ucor[:, 1:-1] = 0.5 * (u[1:-1, 1:] + u[1:-1, :-1])
     f_xy = vcor * ucor
-    adv_u = np.diff(f_xx, axis=0) / dx + np.diff(f_xy, axis=1) / dy  # (nx-1, ny)
+    adv_u = (f_xx[1:] - f_xx[:-1]) / dx + (f_xy[:, 1:] - f_xy[:, :-1]) / dy  # (nx-1, ny)
 
     # v-momentum
     vc = 0.5 * (v[:, :-1] + v[:, 1:])               # (nx, ny)
@@ -375,7 +378,7 @@ def momentum_advection(grid: Grid, vel: MacVelocity) -> tuple[np.ndarray, np.nda
     vcor_v = np.zeros((grid.nx + 1, grid.ny - 1))   # transported v at corners; walls stay 0
     vcor_v[1:-1, :] = 0.5 * (v[1:, 1:-1] + v[:-1, 1:-1])
     f_yx = ucor_v * vcor_v
-    adv_v = np.diff(f_yy, axis=1) / dy + np.diff(f_yx, axis=0) / dx  # (nx, ny-1)
+    adv_v = (f_yy[:, 1:] - f_yy[:, :-1]) / dy + (f_yx[1:] - f_yx[:-1]) / dx  # (nx, ny-1)
 
     return adv_u, adv_v
 
@@ -396,8 +399,8 @@ def viscous_remainder(
     tyy = 2.0 * dnu_c * dyy
     txy = 2.0 * dnu_cor * dxy
 
-    rem_u = np.diff(txx, axis=0) / grid.dx + np.diff(txy[1:-1, :], axis=1) / grid.dy
-    rem_v = np.diff(tyy, axis=1) / grid.dy + np.diff(txy[:, 1:-1], axis=0) / grid.dx
+    rem_u = (txx[1:] - txx[:-1]) / grid.dx + (txy[1:-1, 1:] - txy[1:-1, :-1]) / grid.dy
+    rem_v = (tyy[:, 1:] - tyy[:, :-1]) / grid.dy + (txy[1:, 1:-1] - txy[:-1, 1:-1]) / grid.dx
     return rem_u, rem_v
 
 
@@ -411,25 +414,34 @@ def korteweg_force(
     """K (mu - l_c theta) grad phi, face-interpolated (zero at wall faces)."""
     scal = material.K_cap * (mu_half - material.l_c * theta)
     fx = np.zeros((grid.nx + 1, grid.ny))
-    fx[1:-1, :] = centers_to_xfaces(grid, scal)[1:-1, :] * np.diff(phi, axis=0) / grid.dx
+    fx[1:-1, :] = centers_to_xfaces(grid, scal)[1:-1, :] * (phi[1:] - phi[:-1]) / grid.dx
     fy = np.zeros((grid.nx, grid.ny + 1))
-    fy[:, 1:-1] = centers_to_yfaces(grid, scal)[:, 1:-1] * np.diff(phi, axis=1) / grid.dy
+    fy[:, 1:-1] = centers_to_yfaces(grid, scal)[:, 1:-1] * (phi[:, 1:] - phi[:, :-1]) / grid.dy
     return fx, fy
 
 
-def project(grid: Grid, vel: MacVelocity) -> MacVelocity:
-    """Remove the discrete gradient part: u - grad psi with Delta_N psi = div u."""
-    div = vel.divergence()
-    coeffs = dct2_transform(grid, div)
-    lam = grid.laplacian_eigenvalues()
-    lam_safe = lam.copy()
+@functools.lru_cache(maxsize=16)
+def _projection_eigenvalues(grid: Grid) -> np.ndarray:
+    """`laplacian_eigenvalues` with the zero (0, 0) entry set to 1; read-only."""
+    lam_safe = grid.laplacian_eigenvalues().copy()
     lam_safe[0, 0] = 1.0
-    coeffs = -coeffs / lam_safe
+    lam_safe.flags.writeable = False
+    return lam_safe
+
+
+def project(grid: Grid, vel: MacVelocity) -> MacVelocity:
+    """Remove the discrete gradient part: u - grad psi with Delta_N psi = div u.
+
+    Returns a new velocity; `vel` is left unchanged.
+    """
+    coeffs = dct2_transform(grid, vel.divergence())
+    np.negative(coeffs, out=coeffs)
+    coeffs /= _projection_eigenvalues(grid)
     coeffs[0, 0] = 0.0
     psi = dct2_inverse(grid, coeffs)
     out = vel.copy()
-    out.u[1:-1, :] -= np.diff(psi, axis=0) / grid.dx
-    out.v[:, 1:-1] -= np.diff(psi, axis=1) / grid.dy
+    out.u[1:-1, :] -= (psi[1:] - psi[:-1]) / grid.dx
+    out.v[:, 1:-1] -= (psi[:, 1:] - psi[:, :-1]) / grid.dy
     return out
 
 
@@ -449,7 +461,8 @@ def step_ns(
     the result projected again after it), so purely gradient forces such as a
     uniform buoyancy on a constant state leave a resting fluid exactly at rest.
     Reads the old state's viscous parts from `state.viscous` when set; `buoy`
-    is buoyancy(phi_next, theta_next), computed here when None.
+    is buoyancy(phi_next, theta_next), computed here when None. With zero
+    gravity the buoyancy is identically zero and is neither built nor added.
     """
     g = model.grid
     mat = model.material
@@ -459,7 +472,7 @@ def step_ns(
     rhs.u[1:-1, :] = vel.u[1:-1, :] / dt
     rhs.v[:, 1:-1] = vel.v[:, 1:-1] / dt
 
-    if vel.max_speed() > 0.0:
+    if _max_speed(state) > 0.0:
         adv_u, adv_v = momentum_advection(g, vel)
         rhs.u[1:-1, :] -= adv_u
         rhs.v[:, 1:-1] -= adv_v
@@ -470,9 +483,13 @@ def step_ns(
             rhs.v[:, 1:-1] += rem_v
 
     kx, ky = korteweg_force(g, mat, mu_half, theta_next, phi_next)
-    bx, by = buoy or buoyancy(g, mat, phi_next, theta_next)
-    rhs.u[1:-1, :] += kx[1:-1, :] + bx[1:-1, :]
-    rhs.v[:, 1:-1] += ky[:, 1:-1] + by[:, 1:-1]
+    fx, fy = kx[1:-1, :], ky[:, 1:-1]
+    if any(mat.g):
+        bx, by = buoy or buoyancy(g, mat, phi_next, theta_next)
+        fx = fx + bx[1:-1, :]
+        fy = fy + by[:, 1:-1]
+    rhs.u[1:-1, :] += fx
+    rhs.v[:, 1:-1] += fy
     if q is not None:
         rhs.u[1:-1, :] += q[0][1:-1, :]
         rhs.v[:, 1:-1] += q[1][:, 1:-1]
@@ -516,10 +533,10 @@ def _ledger_row(
     e_prev: float,
     dt: float,
     forcing: Forcing,
-    buoy: tuple[np.ndarray, np.ndarray],
+    buoy: tuple[np.ndarray, np.ndarray] | None,
 ) -> tuple[dict, float]:
     """The ledger row of `state_next` and its energy; reads the state's
-    carried mu, viscous parts and g . u."""
+    carried mu, viscous parts, g . u and max |u|."""
     g = model.grid
     mat = model.material
     integrals = _energy_integrals(
@@ -560,7 +577,7 @@ def _ledger_row(
         "mass_phi": float(state_next.phi.sum() * g.cell_area),
         "mean_h": float(np.mean(state_next.theta - mat.l_h * state_next.phi)),
         "max_div_u": float(np.abs(state_next.vel.divergence()).max()),
-        "max_u": state_next.vel.max_speed(),
+        "max_u": state_next.max_u,
         "dt_used": dt,
         **works,
     }
@@ -582,7 +599,8 @@ def advance(
 
     With a ledger, `e_prev` is the energy of `state`: when None it is read
     from `state.energy`, and computed when that is None too. The new state
-    then carries its mu, energy, viscous parts and g . u (see `SimState`).
+    then carries its mu, energy, viscous parts and g . u; with or without a
+    ledger it carries its max |u| (see `SimState`).
     """
     forcing = forcing or Forcing()
     t_next = state.t + dt
@@ -591,16 +609,18 @@ def advance(
     try:
         phi_next, mu_half = step_ch(model, state, dt)
         theta_next = step_heat(model, state, phi_next, dt, forcing.z)
-        buoy = buoyancy(g, mat, phi_next, theta_next)
+        buoy = buoyancy(g, mat, phi_next, theta_next) if any(mat.g) else None
         vel_next = step_ns(model, state, phi_next, theta_next, mu_half, dt, forcing.q, buoy)
     except NonFiniteError as exc:
         # overflow inside a sub-step surfaces as a finiteness error; report it
         # as a blow-up carrying the last good state
         raise BlowUpError(f"step diverged: {exc}", state) from exc
 
-    state_next = SimState(t=t_next, step=state.step + 1, phi=phi_next, theta=theta_next, vel=vel_next)
-    if not state_next.is_finite():
-        raise BlowUpError("state became non-finite", state)
+    # step_ch, step_heat and step_ns have each checked the field they made
+    state_next = SimState(
+        t=t_next, step=state.step + 1, phi=phi_next, theta=theta_next, vel=vel_next,
+        max_u=vel_next.max_speed(),
+    )
 
     if check_invariants:
         drift = abs(float(phi_next.mean()) - float(state.phi.mean()))

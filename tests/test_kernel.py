@@ -132,6 +132,14 @@ class TestMollifier:
         val, _ = integrate.quad(lambda s: 2.0 * m.eta(s) * s**2.5, 0.0, 1.0, limit=200)
         assert val == pytest.approx(2.0 * (2.0 / np.pi), rel=1e-8)
 
+    def test_calibration_is_memoized_with_fresh_values(self):
+        m = calibrate_mollifier(0.37, shape_id="quartic")
+        assert calibrate_mollifier(0.37, shape_id="quartic") is m
+        fresh = calibrate_mollifier.__wrapped__(0.37, shape_id="quartic")
+        assert fresh is not m
+        assert (fresh.gamma, fresh.d, fresh.shape_id) == (m.gamma, m.d, m.shape_id)
+        assert fresh.c_eta.hex() == m.c_eta.hex()
+
     @pytest.mark.parametrize("gamma", [-0.1, 0.0, 1.0, 1.5])
     def test_gamma_out_of_range(self, gamma):
         with pytest.raises(ValueError):
