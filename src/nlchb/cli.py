@@ -27,7 +27,7 @@ from .kernel import (
 from .limits import gamma_sweep, solution_sweep
 from .physics import validate_assumptions
 from .solver import BlowUpError, Forcing, Model, SimState, integrate, suggest_dt
-from .snapshots import LedgerCsvWriter, read_snapshot, write_ppm, write_snapshot
+from .snapshots import LedgerCsvWriter, _cut_ledger, read_snapshot, write_ppm, write_snapshot
 
 ORACLE_MAX_CELLS = 32 * 32
 
@@ -56,20 +56,6 @@ def _save(config: RunConfig, path: str, state: SimState, dt: float) -> None:
         config_text=config.raw_text,
         dt=dt,
     )
-
-
-def _cut_ledger(path: str, t: float) -> None:
-    """Keep the header and the complete rows of the ledger CSV with time <= t.
-
-    The time is the first column, written with repr(), so it reads back exactly.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    keep = lines[:1] + [
-        line for line in lines[1:] if line.endswith("\n") and float(line.split(",", 1)[0]) <= t
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(keep)
 
 
 def _emit_outputs(config: RunConfig, outdir: str, state: SimState, dt: float) -> None:
@@ -222,8 +208,9 @@ def cmd_sweep_eps(config_path: str, eps_list: list[float]) -> int:
     for eps, ledger in ledgers.items():
         subdir = os.path.join(outdir, f"eps_{eps:g}")
         os.makedirs(subdir, exist_ok=True)
-        with open(os.path.join(subdir, "ledger.csv"), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(ledger.csv_lines()) + "\n")
+        with LedgerCsvWriter(os.path.join(subdir, "ledger.csv")) as csv:
+            for row in ledger.rows:
+                csv.write_row(row)
     path = os.path.join(outdir, "sweep_eps.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(report.csv_lines()) + "\n")

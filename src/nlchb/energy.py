@@ -29,7 +29,7 @@ from .grid import (
     h1_seminorm,
 )
 from .kernel import KernelGrid, convolve
-from .physics import MaterialParams, PotentialParams, buoyancy, viscosity
+from .physics import MaterialParams, PotentialParams, viscosity
 
 __all__ = [
     "LEDGER_COLUMNS",
@@ -83,12 +83,6 @@ class EnergyLedger:
 
     def column(self, name: str) -> np.ndarray:
         return np.array([r[name] for r in self.rows])
-
-    def csv_lines(self) -> list[str]:
-        lines = [",".join(LEDGER_COLUMNS)]
-        for r in self.rows:
-            lines.append(",".join(repr(r[c]) for c in LEDGER_COLUMNS))
-        return lines
 
 
 def e_nl(
@@ -269,22 +263,21 @@ def dissipation(
 
 def work_terms(
     grid: Grid,
-    phi: np.ndarray,
     theta: np.ndarray,
     vel: MacVelocity,
     material: MaterialParams,
     q_faces: tuple[np.ndarray, np.ndarray] | None,
     z_centers: np.ndarray | None,
-    buoy: tuple[np.ndarray, np.ndarray] | None = None,
-    g_dot_u: np.ndarray | float | None = None,
+    buoy: tuple[np.ndarray, np.ndarray] | None,
+    g_dot_u: np.ndarray | float,
 ) -> dict[str, float]:
     """Forcing power entering the energy budget, with the combining prefactors.
 
     Returns the four named contributions; each already carries 1/(K l_c) (the
-    momentum pair) or 1/l_h (the heat pair). `buoy` is buoyancy(phi, theta)
-    and `g_dot_u` is `_g_dot_u(material, vel)`; each is computed here when None.
-    With zero gravity both are identically zero, and `work_buoy` and
-    `work_gu` stay 0.0 without being summed.
+    momentum pair) or 1/l_h (the heat pair). `buoy` is the buoyancy of the state
+    and `g_dot_u` is `_g_dot_u(material, vel)`. With zero gravity both are
+    identically zero (`buoy` is None), and `work_buoy` and `work_gu` stay 0.0
+    without being summed.
     """
     kl = material.K_cap * material.l_c
     out = {"work_q": 0.0, "work_buoy": 0.0, "work_z": 0.0, "work_gu": 0.0}
@@ -297,10 +290,9 @@ def work_terms(
         out["work_z"] = float(np.sum(z_centers * theta) * grid.cell_area) / material.l_h
 
     if any(material.g):
-        bx, by = buoy or buoyancy(grid, material, phi, theta)
+        bx, by = buoy
         out["work_buoy"] = float((np.sum(bx * vel.u) + np.sum(by * vel.v)) * grid.cell_area) / kl
-        gu = _g_dot_u(material, vel) if g_dot_u is None else g_dot_u
-        out["work_gu"] = float(np.sum(gu * theta) * grid.cell_area) / material.l_h
+        out["work_gu"] = float(np.sum(g_dot_u * theta) * grid.cell_area) / material.l_h
     return out
 
 

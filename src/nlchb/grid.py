@@ -1,4 +1,4 @@
-"""Cell-centered rectangular grid, Neumann-compatible cosine transforms, and field reductions.
+"""Cell-centered rectangular grid, Neumann-compatible cosine transforms, and field integrals.
 
 Scalar fields live at cell centers as (nx, ny) float64 arrays indexed [i, j]
 with x first. Velocity components live on cell faces (MAC arrangement, see
@@ -27,10 +27,7 @@ __all__ = [
     "centers_to_xfaces",
     "centers_to_yfaces",
     "field_integral",
-    "field_mean",
-    "l2_norm",
     "h1_seminorm",
-    "field_reductions",
 ]
 
 MIN_CELLS = 8
@@ -79,12 +76,6 @@ class Grid:
         x = (np.arange(self.nx) + 0.5) * self.dx
         y = (np.arange(self.ny) + 0.5) * self.dy
         return np.meshgrid(x, y, indexing="ij")
-
-    def x_faces(self) -> np.ndarray:
-        return np.arange(self.nx + 1) * self.dx
-
-    def y_faces(self) -> np.ndarray:
-        return np.arange(self.ny + 1) * self.dy
 
     def laplacian_eigenvalues(self) -> np.ndarray:
         """Eigenvalues lambda[k, l] >= 0 of -Delta_N in the discrete cosine basis.
@@ -164,7 +155,7 @@ def _check_finite(values: np.ndarray) -> None:
         raise NonFiniteError("field contains non-finite values")
 
 
-def dct2_transform(grid: Grid, values: np.ndarray) -> np.ndarray:
+def dct2_transform(values: np.ndarray) -> np.ndarray:
     """Forward cosine transform; coefficient (0, 0) equals nx*ny*mean(field).
 
     Normalization: scipy's unnormalized DCT-II divided by 4, fixed so that
@@ -174,15 +165,15 @@ def dct2_transform(grid: Grid, values: np.ndarray) -> np.ndarray:
     return _fft.dctn(values, type=2) / 4.0
 
 
-def dct2_inverse(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+def dct2_inverse(coeffs: np.ndarray) -> np.ndarray:
     """Inverse of `dct2_transform` (exact round trip up to rounding)."""
     return _fft.idctn(coeffs * 4.0, type=2)
 
 
 def laplacian_neumann(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Neumann Laplacian applied spectrally (zero-mean output by construction)."""
-    coeffs = dct2_transform(grid, values)
-    return dct2_inverse(grid, -grid.laplacian_eigenvalues() * coeffs)
+    coeffs = dct2_transform(values)
+    return dct2_inverse(-grid.laplacian_eigenvalues() * coeffs)
 
 
 @functools.lru_cache(maxsize=32)
@@ -205,9 +196,9 @@ def helmholtz_solve(grid: Grid, alpha: float, beta: float, rhs: np.ndarray) -> n
         raise ValueError("helmholtz_solve requires alpha > 0 (singular on constants otherwise)")
     if beta < 0.0:
         raise ValueError("helmholtz_solve requires beta >= 0")
-    coeffs = dct2_transform(grid, rhs)
+    coeffs = dct2_transform(rhs)
     coeffs /= _helmholtz_denominator(grid, alpha, beta)
-    return dct2_inverse(grid, coeffs)
+    return dct2_inverse(coeffs)
 
 
 def gradient_cc(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -254,25 +245,6 @@ def field_integral(grid: Grid, values: np.ndarray) -> float:
     return float(values.sum() * grid.cell_area)
 
 
-def field_mean(grid: Grid, values: np.ndarray) -> float:
-    return float(values.mean())
-
-
-def l2_norm(grid: Grid, values: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(values * values) * grid.cell_area))
-
-
 def h1_seminorm(grid: Grid, values: np.ndarray) -> float:
     gx, gy = gradient_cc(grid, values)
     return float(np.sqrt(np.sum(gx * gx + gy * gy) * grid.cell_area))
-
-
-def field_reductions(grid: Grid, values: np.ndarray) -> dict[str, float]:
-    """Integral, mean, L2 norm, and H1 seminorm of a scalar field."""
-    _check_finite(values)
-    return {
-        "integral": field_integral(grid, values),
-        "mean": field_mean(grid, values),
-        "l2_norm": l2_norm(grid, values),
-        "h1_seminorm": h1_seminorm(grid, values),
-    }

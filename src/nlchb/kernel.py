@@ -293,14 +293,6 @@ class KernelGrid:
     def l1(self) -> float:
         return float(np.sum(np.abs(self.values)) * self.grid.cell_area)
 
-    def displacements(self) -> tuple[np.ndarray, np.ndarray]:
-        g = self.grid
-        mx = np.arange(2 * g.nx)
-        mx[mx >= g.nx] -= 2 * g.nx
-        my = np.arange(2 * g.ny)
-        my[my >= g.ny] -= 2 * g.ny
-        return mx[:, None] * g.dx, my[None, :] * g.dy
-
 
 def sample_kernel(mollifier: Mollifier, epsilon: float, grid: Grid) -> KernelGrid:
     """Sample J_eps on the padded displacement lattice.
@@ -428,12 +420,13 @@ def compute_a(kernel: KernelGrid) -> np.ndarray:
     return a
 
 
-def kernel_norms(kernel: KernelGrid, mollifier: Mollifier | None = None) -> dict[str, float]:
+def kernel_norms(kernel: KernelGrid) -> dict[str, float]:
     """Lattice W^{1,1}-type norms: {'l1': int |J|, 'grad_l1': int |grad J|}.
 
     Centered differences on the displacement lattice away from the origin
-    ring; radial quadrature of |dJ/dr| over the near-origin disc where the
-    lattice cannot resolve the singular slope.
+    ring; radial quadrature of |dJ/dr| of the kernel's calibrated mollifier
+    over the near-origin disc where the lattice cannot resolve the singular
+    slope.
     """
     g = kernel.grid
     l1 = kernel.l1()
@@ -442,16 +435,14 @@ def kernel_norms(kernel: KernelGrid, mollifier: Mollifier | None = None) -> dict
     ring = min(AVG_RING_MAX, int(AVG_RING_FRACTION * kernel.epsilon / h)) + 1
     r0 = min((ring + 0.5) * h, kernel.epsilon)
 
-    grad_inner = 0.0
-    if mollifier is not None:
-        # profiles here are nonincreasing, so |J'| = -J' and the integrand is smooth
-        val, _ = integrate.quad(
-            lambda r: 2.0 * np.pi * r * abs(float(mollifier.kernel_radial_derivative(np.asarray([r]), kernel.epsilon)[0])),
-            0.0,
-            r0,
-            limit=200,
-        )
-        grad_inner = val
+    mollifier = calibrate_mollifier(kernel.gamma, d=2, shape_id=kernel.shape_id)
+    # profiles here are nonincreasing, so |J'| = -J' and the integrand is smooth
+    grad_inner, _ = integrate.quad(
+        lambda r: 2.0 * np.pi * r * abs(float(mollifier.kernel_radial_derivative(np.asarray([r]), kernel.epsilon)[0])),
+        0.0,
+        r0,
+        limit=200,
+    )
 
     K = np.fft.fftshift(kernel.values)
     zx = (np.arange(2 * g.nx) - g.nx)[:, None] * g.dx

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import EnergyLedger, e_local, e_nl, total_energy
+from .energy import EnergyLedger, e_local, e_nl
 from .grid import Grid, gradient_cc
 from .kernel import calibrate_mollifier, compute_a, convolve, sample_kernel
 from .physics import MaterialParams, PotentialParams
@@ -251,7 +251,7 @@ def solution_sweep(
     if n_steps % sample_every:
         step_all(n_steps)
 
-    e_ref_local = total_energy(grid, ref.phi, ref.theta, ref.vel, "local", potential, material)
+    e_ref_local = ref_model.total_energy(ref)
     cols: dict[str, list[float]] = {
         k: []
         for k in (
@@ -267,9 +267,7 @@ def solution_sweep(
     for state, s in zip(states, sums):
         values = [float("nan")] * len(cols)
         if state is not None:
-            e_local_fn = total_energy(
-                grid, state.phi, state.theta, state.vel, "local", potential, material
-            )
+            e_local_fn = ref_model.total_energy(state)
             values = (
                 [float(np.sqrt(x)) for x in s]
                 + [float(np.sqrt(x * area)) for x in _squared_gaps(state, ref)]

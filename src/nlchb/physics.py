@@ -19,7 +19,6 @@ from .kernel import KernelGrid, convolve, kernel_norms
 __all__ = [
     "PotentialParams",
     "MaterialParams",
-    "potential_eval",
     "viscosity",
     "buoyancy",
     "mu_nonlocal",
@@ -63,11 +62,6 @@ class PotentialParams:
     def ddf(self, s):
         c = np.polynomial.polynomial.polyder(self.coeffs, 2)
         return np.polynomial.polynomial.polyval(s, c)
-
-
-def potential_eval(potential: PotentialParams, s):
-    """F, F', F'' at s (scalar or array)."""
-    return {"F": potential.f(s), "dF": potential.df(s), "ddF": potential.ddf(s)}
 
 
 @dataclass(frozen=True)

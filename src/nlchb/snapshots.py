@@ -9,6 +9,7 @@ back bit-identically.
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import numpy as np
@@ -70,13 +71,19 @@ def write_snapshot(
 
     arrays = [state.phi, state.theta, state.vel.u, state.vel.v]
     tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(("\n".join(header) + "\n").encode("utf-8"))
-        for arr, (_, shape) in zip(arrays, fields):
-            if arr.shape != shape:
-                raise SnapshotError(f"field shape {arr.shape} does not match {shape}")
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(("\n".join(header) + "\n").encode("utf-8"))
+            for arr, (_, shape) in zip(arrays, fields):
+                if arr.shape != shape:
+                    raise SnapshotError(f"field shape {arr.shape} does not match {shape}")
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    except BaseException:
+        # a refused or failed write leaves neither a partial file nor its .tmp
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
     os.replace(tmp, path)
 
 
@@ -98,23 +105,33 @@ def read_snapshot(path: str, grid: Grid | None = None) -> tuple[SimState, dict]:
         header_end = blob.index(b"\nend\n", len(MAGIC)) + len(b"\nend\n")
     except ValueError:
         raise SnapshotError(f"{path}: header terminator missing (truncated?)") from None
-    lines = blob[len(MAGIC) : header_end].decode("utf-8").splitlines()
-
     try:
+        lines = blob[len(MAGIC) : header_end].decode("utf-8").splitlines()
         gridkv = _parse_kv(lines[0])
         statekv = _parse_kv(lines[1])
         nx, ny = int(gridkv["nx"]), int(gridkv["ny"])
         lx, ly = float(gridkv["lx"]), float(gridkv["ly"])
-        fields_decl = lines[2].split("=", 1)[1].split()
+        file_grid = make_grid(nx, ny, lx, ly)
+        t, step = float(statekv["t"]), int(statekv["step"])
+        meta = {
+            "mode": statekv.get("mode", "nonlocal"),
+            "epsilon": float(statekv.get("epsilon", "0.0")),
+            "gamma": float(statekv.get("gamma", "0.0")),
+            "dt": float(statekv["dt"]) if "dt" in statekv else None,
+            "config_text": None,
+            "grid": file_grid,
+        }
+        declared = []
+        for token in lines[2].split("=", 1)[1].split():
+            name, _, dims = token.partition(":")
+            a, _, b = dims.partition("x")
+            declared.append((name, (int(a), int(b))))
+        if len(lines) > 3 and lines[3].startswith("config_lines="):
+            n_cfg = int(lines[3].split("=", 1)[1])
+            meta["config_text"] = "\n".join(lines[4 : 4 + n_cfg])
     except (KeyError, IndexError, ValueError) as exc:
         raise SnapshotError(f"{path}: malformed header: {exc}") from None
 
-    config_text = None
-    if len(lines) > 3 and lines[3].startswith("config_lines="):
-        n_cfg = int(lines[3].split("=", 1)[1])
-        config_text = "\n".join(lines[4 : 4 + n_cfg])
-
-    file_grid = make_grid(nx, ny, lx, ly)
     if grid is not None and (grid.nx, grid.ny, grid.Lx, grid.Ly) != (nx, ny, lx, ly):
         raise SnapshotError(
             f"{path}: grid mismatch (file {nx}x{ny} [{lx},{ly}], expected "
@@ -122,11 +139,6 @@ def read_snapshot(path: str, grid: Grid | None = None) -> tuple[SimState, dict]:
         )
 
     expected = _field_list(file_grid)
-    declared = []
-    for token in fields_decl:
-        name, _, dims = token.partition(":")
-        a, _, b = dims.partition("x")
-        declared.append((name, (int(a), int(b))))
     if declared != expected:
         raise SnapshotError(f"{path}: unexpected field layout {declared}")
 
@@ -146,20 +158,12 @@ def read_snapshot(path: str, grid: Grid | None = None) -> tuple[SimState, dict]:
         offset += count * 8
 
     state = SimState(
-        t=float(statekv["t"]),
-        step=int(statekv["step"]),
+        t=t,
+        step=step,
         phi=arrays[0],
         theta=arrays[1],
         vel=MacVelocity(file_grid, arrays[2], arrays[3]),
     )
-    meta = {
-        "mode": statekv.get("mode", "nonlocal"),
-        "epsilon": float(statekv.get("epsilon", "0.0")),
-        "gamma": float(statekv.get("gamma", "0.0")),
-        "dt": float(statekv["dt"]) if "dt" in statekv else None,
-        "config_text": config_text,
-        "grid": file_grid,
-    }
     return state, meta
 
 
@@ -208,3 +212,17 @@ class LedgerCsvWriter:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _cut_ledger(path: str, t: float) -> None:
+    """Keep the header and the complete rows of the ledger CSV with time <= t.
+
+    The time is the first column, written with repr(), so it reads back exactly.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.readlines()
+    keep = lines[:1] + [
+        line for line in lines[1:] if line.endswith("\n") and float(line.split(",", 1)[0]) <= t
+    ]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(keep)

@@ -191,13 +191,9 @@ class Model:
             return mu_nonlocal(phi, theta, self.kernel, self.a, self.potential, self.material)
         return mu_local(self.grid, phi, theta, self.potential, self.material)
 
-    def interface_energy(self, phi: np.ndarray) -> float:
-        if self.mode == "nonlocal":
-            return e_nl(self.kernel, self.a, phi)
-        return e_local(self.grid, phi)
-
     def mu_and_interface(self, phi: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, float]:
-        """`chemical_potential` and `interface_energy` of one state, with one J*phi."""
+        """The chemical potential and the interface energy (e_nl or e_local by
+        mode) of one state, with one J*phi."""
         if self.mode == "nonlocal":
             j_phi = convolve(self.kernel, phi)
             return (
@@ -286,8 +282,8 @@ def step_ch(
         explicit = model.potential.eta_f * model.potential.df(phi) + model.material.l_c * theta
         rhs = phi / dt - adv + laplacian_neumann(g, explicit - S * phi)
         lam = g.laplacian_eigenvalues()
-        coeffs = dct2_transform(g, rhs) / (1.0 / dt + S * lam + lam**2)
-        phi_next = dct2_inverse(g, coeffs)
+        coeffs = dct2_transform(rhs) / (1.0 / dt + S * lam + lam**2)
+        phi_next = dct2_inverse(coeffs)
         mu_half = -laplacian_neumann(g, phi_next) + explicit + S * (phi_next - phi)
 
     if not np.all(np.isfinite(phi_next)):
@@ -434,11 +430,11 @@ def project(grid: Grid, vel: MacVelocity) -> MacVelocity:
 
     Returns a new velocity; `vel` is left unchanged.
     """
-    coeffs = dct2_transform(grid, vel.divergence())
+    coeffs = dct2_transform(vel.divergence())
     np.negative(coeffs, out=coeffs)
     coeffs /= _projection_eigenvalues(grid)
     coeffs[0, 0] = 0.0
-    psi = dct2_inverse(grid, coeffs)
+    psi = dct2_inverse(coeffs)
     out = vel.copy()
     out.u[1:-1, :] -= (psi[1:] - psi[:-1]) / grid.dx
     out.v[:, 1:-1] -= (psi[:, 1:] - psi[:, :-1]) / grid.dy
@@ -453,7 +449,7 @@ def step_ns(
     mu_half: np.ndarray,
     dt: float,
     q: tuple[np.ndarray, np.ndarray] | None,
-    buoy: tuple[np.ndarray, np.ndarray] | None = None,
+    buoy: tuple[np.ndarray, np.ndarray] | None,
 ) -> MacVelocity:
     """Explicit forces + implicit mean viscosity + projection.
 
@@ -461,8 +457,8 @@ def step_ns(
     the result projected again after it), so purely gradient forces such as a
     uniform buoyancy on a constant state leave a resting fluid exactly at rest.
     Reads the old state's viscous parts from `state.viscous` when set; `buoy`
-    is buoyancy(phi_next, theta_next), computed here when None. With zero
-    gravity the buoyancy is identically zero and is neither built nor added.
+    is buoyancy(phi_next, theta_next). With zero gravity the buoyancy is
+    identically zero, `buoy` is None and nothing is added.
     """
     g = model.grid
     mat = model.material
@@ -485,7 +481,7 @@ def step_ns(
     kx, ky = korteweg_force(g, mat, mu_half, theta_next, phi_next)
     fx, fy = kx[1:-1, :], ky[:, 1:-1]
     if any(mat.g):
-        bx, by = buoy or buoyancy(g, mat, phi_next, theta_next)
+        bx, by = buoy
         fx = fx + bx[1:-1, :]
         fy = fy + by[:, 1:-1]
     rhs.u[1:-1, :] += fx
@@ -554,7 +550,6 @@ def _ledger_row(
     )
     works = work_terms(
         g,
-        state_next.phi,
         state_next.theta,
         state_next.vel,
         mat,
@@ -590,17 +585,14 @@ def advance(
     dt: float,
     forcing: Forcing | None = None,
     ledger: EnergyLedger | None = None,
-    e_prev: float | None = None,
     check_invariants: bool = False,
-) -> tuple[SimState, float | None]:
-    """One full step (phi -> theta -> velocity); returns (state, energy) where
-    energy is the ledger-consistent total energy of the new state (None when
-    no ledger is kept).
+) -> SimState:
+    """One full step (phi -> theta -> velocity); returns the new state.
 
-    With a ledger, `e_prev` is the energy of `state`: when None it is read
-    from `state.energy`, and computed when that is None too. The new state
-    then carries its mu, energy, viscous parts and g . u; with or without a
-    ledger it carries its max |u| (see `SimState`).
+    With a ledger, the energy before the step is read from `state.energy`,
+    and computed when that is None. The new state then carries its mu,
+    energy, viscous parts and g . u; with or without a ledger it carries its
+    max |u| (see `SimState`).
     """
     forcing = forcing or Forcing()
     t_next = state.t + dt
@@ -635,15 +627,14 @@ def advance(
             state_next.mu, interface = model.mu_and_interface(phi_next, theta_next)
             state_next.viscous = _viscous_parts(g, mat, phi_next, vel_next)
             state_next.g_dot_u = _g_dot_u(mat, vel_next)
-            if e_prev is None:
-                e_prev = state.energy if state.energy is not None else model.total_energy(state)
+            e_prev = state.energy if state.energy is not None else model.total_energy(state)
             row, state_next.energy = _ledger_row(
                 model, state_next, interface, e_prev, dt, forcing, buoy
             )
             ledger.append(row)
         except NonFiniteError as exc:
             raise BlowUpError(f"step diverged: {exc}", state) from exc
-    return state_next, state_next.energy
+    return state_next
 
 
 def integrate(
@@ -669,7 +660,7 @@ def integrate(
         mu, interface = model.mu_and_interface(state.phi, state.theta)
         state = replace(state, mu=mu, energy=model.total_energy(state, interface))
     while state.t < t_end - 0.5 * dt:
-        state, _ = advance(model, state, dt, forcing, ledger, None, check_invariants)
+        state = advance(model, state, dt, forcing, ledger, check_invariants)
         if on_step is not None:
             on_step(state)
     return state

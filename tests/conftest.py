@@ -57,11 +57,11 @@ def smooth_flow_state(grid):
     theta = 0.1 * np.cos(np.pi * X)
     vel = MacVelocity(grid)
     amp = 0.05
-    xf = grid.x_faces()[:, None]
+    xf = (np.arange(grid.nx + 1) * grid.dx)[:, None]
     yc = ((np.arange(grid.ny) + 0.5) * grid.dy)[None, :]
     vel.u[:, :] = amp * np.sin(np.pi * xf) ** 2 * 2.0 * np.pi * np.sin(np.pi * yc) * np.cos(np.pi * yc)
     xc = ((np.arange(grid.nx) + 0.5) * grid.dx)[:, None]
-    yf = grid.y_faces()[None, :]
+    yf = (np.arange(grid.ny + 1) * grid.dy)[None, :]
     vel.v[:, :] = -amp * 2.0 * np.pi * np.sin(np.pi * xc) * np.cos(np.pi * xc) * np.sin(np.pi * yf) ** 2
     vel.enforce_boundary()
     return SimState(t=0.0, step=0, phi=phi, theta=theta, vel=project(grid, vel))

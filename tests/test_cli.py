@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import nlchb.cli
 from nlchb.cli import main
-from nlchb.snapshots import read_snapshot
+from nlchb.energy import LEDGER_COLUMNS
+from nlchb.snapshots import LedgerCsvWriter, read_snapshot
 
 FAST_RUN = """
 [grid]
@@ -159,6 +161,15 @@ class TestResume:
         assert (out / "ledger.csv").read_bytes() == ledger
         assert (out / "checkpoint.bin").read_bytes() == checkpoint
 
+    def test_resume_from_malformed_snapshot_exits_1(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, FAST_RUN)
+        assert main(["run", cfg]) == 0
+        path = tmp_path / "out" / "checkpoint.bin"
+        path.write_bytes(path.read_bytes().replace(b"\nt=", b"\nx=", 1))
+        capsys.readouterr()
+        assert main(["resume", str(path)]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_resume_already_finished(self, tmp_path):
         cfg = write_cfg(tmp_path, FAST_RUN)
         assert main(["run", cfg]) == 0
@@ -209,3 +220,29 @@ class TestValidateAndSweeps:
         for row in rows:
             for cell in row:
                 float(cell)
+
+    def test_sweep_eps_ledgers_written_by_ledger_csv_writer(self, tmp_path, monkeypatch):
+        # each member's ledger.csv holds the same bytes LedgerCsvWriter writes
+        # for the member's rows: the header, then repr() of every value
+        raw = nlchb.cli.solution_sweep
+        ledgers = {}
+
+        def sweep(*args, **kwargs):
+            report = raw(*args, **kwargs)
+            ledgers.update(report.metadata["ledgers"])
+            return report
+
+        monkeypatch.setattr(nlchb.cli, "solution_sweep", sweep)
+        cfg = write_cfg(tmp_path, FAST_RUN.replace("t_end = 2e-2", "t_end = 5e-3"))
+        assert main(["sweep-eps", cfg, "--eps", "0.4,0.2"]) == 0
+        assert sorted(ledgers) == [0.2, 0.4]
+        for eps, ledger in ledgers.items():
+            assert len(ledger.rows) == 5
+            expected = tmp_path / f"expected_{eps:g}.csv"
+            with LedgerCsvWriter(str(expected)) as csv:
+                for row in ledger.rows:
+                    csv.write_row(row)
+            lines = [",".join(LEDGER_COLUMNS)]
+            lines += [",".join(repr(row[c]) for c in LEDGER_COLUMNS) for row in ledger.rows]
+            written = (tmp_path / "out" / f"eps_{eps:g}" / "ledger.csv").read_bytes()
+            assert written == expected.read_bytes() == ("\n".join(lines) + "\n").encode()

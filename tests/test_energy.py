@@ -16,6 +16,7 @@ from nlchb.energy import (
 from nlchb.grid import MacVelocity, NonFiniteError, dct2_inverse, dct2_transform, make_grid
 from nlchb.kernel import calibrate_mollifier, compute_a, convolve, sample_kernel
 from nlchb.physics import MaterialParams, PotentialParams, mu_nonlocal
+from nlchb.snapshots import LedgerCsvWriter
 
 from test_kernel import double_sum_energy
 
@@ -139,8 +140,8 @@ class TestTotalEnergy:
         vel = MacVelocity(grid)
         args = ("nonlocal", PotentialParams(), MaterialParams(), kernel, a)
         e1 = total_energy(grid, phi, theta, vel, *args)
-        phi_rt = dct2_inverse(grid, dct2_transform(grid, phi))
-        theta_rt = dct2_inverse(grid, dct2_transform(grid, theta))
+        phi_rt = dct2_inverse(dct2_transform(phi))
+        theta_rt = dct2_inverse(dct2_transform(theta))
         e2 = total_energy(grid, phi_rt, theta_rt, vel, *args)
         assert abs(e1 - e2) <= 1e-12 * abs(e1)
 
@@ -245,9 +246,13 @@ class TestLedger:
             led.append(row)
         assert led.rows == []
 
-    def test_csv_header(self):
+    def test_csv_header(self, tmp_path):
         led = EnergyLedger()
         led.append(self.make_row(0.0))
-        lines = led.csv_lines()
+        path = tmp_path / "ledger.csv"
+        with LedgerCsvWriter(str(path)) as csv:
+            for row in led.rows:
+                csv.write_row(row)
+        lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0].startswith("t,E_total,E_interface")
         assert len(lines) == 2

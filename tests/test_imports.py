@@ -1,6 +1,7 @@
-"""No module under src/nlchb or tests imports a name it never uses.
+"""No module under src/nlchb or tests imports a name it never uses, and no
+module-level function or class in src/nlchb is left without a caller.
 
-No linter runs on this code, so this AST scan is the check. The package
+No linter runs on this code, so these AST scans are the check. The package
 `__init__.py` is left out: its imports are the public re-exports.
 """
 
@@ -10,11 +11,8 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-FILES = sorted(
-    path
-    for path in [*(ROOT / "src" / "nlchb").glob("*.py"), *(ROOT / "tests").glob("*.py")]
-    if path.name != "__init__.py"
-)
+PACKAGE = sorted(p for p in (ROOT / "src" / "nlchb").glob("*.py") if p.name != "__init__.py")
+FILES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,3 +39,64 @@ def test_scanner_finds_unused_and_keeps_used():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def used_names(tree: ast.AST, skip: tuple[int, int] = (0, -1), strings: bool = False) -> set[str]:
+    """Identifiers, attribute names and imported names read in `tree` outside
+    the lines `skip`; with `strings`, also the dotted parts of string constants
+    (the `module.Class.method` targets that perfbench wraps by name)."""
+    names = set()
+    for node in ast.walk(tree):
+        if skip[0] <= getattr(node, "lineno", 0) <= skip[1]:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(node.value.split("."))
+    return names
+
+
+def unreferenced_definitions(
+    package: dict[str, str], outside: list[str], exported: set[str]
+) -> list[str]:
+    """Module-level functions and classes of `package` (module name -> source)
+    referenced nowhere but in their own definition: not elsewhere in their
+    module, not in another package module, not in an `outside` source, and
+    not among the `exported` names."""
+    trees = {name: ast.parse(source) for name, source in package.items()}
+    outside_names = set(exported).union(*(used_names(ast.parse(s), strings=True) for s in outside))
+    dead = []
+    for name, tree in trees.items():
+        elsewhere = outside_names.union(*(used_names(t) for n, t in trees.items() if n != name))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in elsewhere:
+                if node.name not in used_names(tree, (node.lineno, node.end_lineno)):
+                    dead.append(f"{name}.{node.name}")
+    return dead
+
+
+def test_definition_scanner_finds_dead_and_keeps_used():
+    package = {
+        "a": "def helper():\n    return helper\n\ndef used():\n    pass\n\nused()\n",
+        "b": "from .a import used\n\nclass Wrapped:\n    pass\n\ndef public():\n    pass\n",
+    }
+    outside = ['TARGETS = [("b", "Wrapped.method")]\n']
+    assert unreferenced_definitions(package, outside, {"public"}) == ["a.helper"]
+    assert unreferenced_definitions(package, [], set()) == ["a.helper", "b.Wrapped", "b.public"]
+
+
+def test_no_unreferenced_definitions():
+    init = ast.parse((ROOT / "src" / "nlchb" / "__init__.py").read_text(encoding="utf-8"))
+    exported = {
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    package = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE}
+    perfbench = [path.read_text(encoding="utf-8") for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert unreferenced_definitions(package, perfbench, exported) == []

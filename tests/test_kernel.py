@@ -28,6 +28,7 @@ from nlchb.kernel import (
     kernel_norms,
     sample_kernel,
 )
+from nlchb.physics import MaterialParams, PotentialParams, validate_assumptions
 
 
 def radial_l1(mollifier, eps):
@@ -55,6 +56,29 @@ def double_sum_energy(kernel, phi):
 
 def quadratic_form(kernel, a, phi):
     return float(np.sum(a * phi * phi - phi * convolve(kernel, phi)) * kernel.grid.cell_area)
+
+
+def displacements(grid):
+    """(x, y) displacement of each entry of a (2nx, 2ny) kernel array in FFT layout."""
+    mx = np.arange(2 * grid.nx)
+    mx[mx >= grid.nx] -= 2 * grid.nx
+    my = np.arange(2 * grid.ny)
+    my[my >= grid.ny] -= 2 * grid.ny
+    return mx[:, None] * grid.dx, my[None, :] * grid.dy
+
+
+def outer_lattice_grad_l1(kernel):
+    """Centered-difference int |grad J| over the lattice points outside the
+    near-origin disc (radius r0) that `kernel_norms` integrates radially."""
+    g = kernel.grid
+    h = max(g.dx, g.dy)
+    ring = min(AVG_RING_MAX, int(AVG_RING_FRACTION * kernel.epsilon / h)) + 1
+    r0 = min((ring + 0.5) * h, kernel.epsilon)
+    K = kernel.values
+    gx = (np.roll(K, -1, axis=0) - np.roll(K, 1, axis=0)) / (2.0 * g.dx)
+    gy = (np.roll(K, -1, axis=1) - np.roll(K, 1, axis=1)) / (2.0 * g.dy)
+    zx, zy = displacements(g)
+    return float(np.sum(np.hypot(gx, gy)[np.hypot(zx, zy) > r0]) * g.cell_area)
 
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(4)
@@ -198,7 +222,7 @@ class TestSampleKernel:
         g = make_grid(32, 32, 1.0, 1.0)
         m = calibrate_mollifier(0.5)
         k = sample_kernel(m, 0.2, g)
-        zx, zy = k.displacements()
+        zx, zy = displacements(g)
         assert np.all(k.values[np.hypot(zx, zy) >= 0.2] == 0.0)
 
     def test_exact_reflection_symmetry(self):
@@ -237,7 +261,7 @@ class TestSampleKernel:
         m = calibrate_mollifier(0.5)
         for eps in (0.4, 0.2, 0.1):
             k = sample_kernel(m, eps, g)
-            zx, _ = k.displacements()
+            zx, _ = displacements(g)
             mom = float(np.sum(k.values * zx**2) * g.cell_area)
             assert mom == pytest.approx(1.0, rel=5e-2)
             assert mom == pytest.approx(1.0, rel=5e-3)  # resolved kernels do much better
@@ -373,15 +397,26 @@ class TestKernelNorms:
         g = make_grid(32, 32, 1.0, 1.0)
         m = calibrate_mollifier(0.5)
         k = sample_kernel(m, 0.25, g)
-        norms = kernel_norms(k, m)
+        norms = kernel_norms(k)
         assert norms["l1"] > 0.0
 
     def test_grad_l1_finite_and_grows_as_eps_shrinks(self):
         g = make_grid(64, 64, 1.0, 1.0)
         m = calibrate_mollifier(0.5)
-        vals = [kernel_norms(sample_kernel(m, eps, g), m)["grad_l1"] for eps in (0.4, 0.2, 0.1)]
+        vals = [kernel_norms(sample_kernel(m, eps, g))["grad_l1"] for eps in (0.4, 0.2, 0.1)]
         assert all(np.isfinite(v) for v in vals)
         assert vals[0] < vals[1] < vals[2]
+
+    @pytest.mark.parametrize("eps", [0.2, 0.1])
+    def test_validation_report_includes_inner_disc(self, eps):
+        # the validator reports the full seminorm: the radial quadrature over
+        # the near-origin disc plus the lattice part outside it
+        g = make_grid(64, 64, 1.0, 1.0)
+        k = sample_kernel(calibrate_mollifier(0.5, d=2, shape_id="bump"), eps, g)
+        report = validate_assumptions(k, compute_a(k), PotentialParams(eta_f=150.0), MaterialParams())
+        outer = outer_lattice_grad_l1(k)
+        assert report.kernel_grad_l1 == kernel_norms(k)["grad_l1"]
+        assert report.kernel_grad_l1 > 1.5 * outer
 
 
 class TestNonlocalFormIdentities:

@@ -11,7 +11,6 @@ from nlchb.physics import (
     buoyancy,
     mu_local,
     mu_nonlocal,
-    potential_eval,
     validate_assumptions,
     viscosity,
 )
@@ -21,15 +20,14 @@ class TestPotential:
     def test_double_well_minima(self):
         pot = PotentialParams()
         for s in (-1.0, 1.0):
-            r = potential_eval(pot, s)
-            assert r["F"] == pytest.approx(0.0, abs=1e-15)
-            assert r["dF"] == pytest.approx(0.0, abs=1e-15)
+            assert pot.f(s) == pytest.approx(0.0, abs=1e-15)
+            assert pot.df(s) == pytest.approx(0.0, abs=1e-15)
 
     def test_double_well_origin(self):
-        r = potential_eval(PotentialParams(), 0.0)
-        assert r["F"] == pytest.approx(0.25)
-        assert r["dF"] == pytest.approx(0.0, abs=1e-15)
-        assert r["ddF"] == pytest.approx(-1.0)
+        pot = PotentialParams()
+        assert pot.f(0.0) == pytest.approx(0.25)
+        assert pot.df(0.0) == pytest.approx(0.0, abs=1e-15)
+        assert pot.ddf(0.0) == pytest.approx(-1.0)
 
     def test_first_derivative_finite_difference(self):
         pot = PotentialParams()

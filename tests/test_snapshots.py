@@ -81,6 +81,35 @@ class TestFailureModes:
         with pytest.raises(SnapshotError, match="mismatch"):
             read_snapshot(path, other)
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            (b"\nt=", b"\nx="),
+            (b" step=", b" x="),
+            (b" epsilon=0.2", b" epsilon=abc"),
+            (b"nx=16", b"nx=4"),
+            (b"config_lines=2", b"config_lines=two"),
+            (b"mode=nonlocal", b"mode=\xff"),
+        ],
+        ids=["no_t", "no_step", "bad_epsilon", "undersized_grid", "bad_config_lines", "not_utf8"],
+    )
+    def test_malformed_header_rejected(self, state16, tmp_path, old, new):
+        grid, state = state16
+        path = tmp_path / "snap.bin"
+        write_snapshot(str(path), state, grid, epsilon=0.2, config_text="[grid]\nnx = 16\n")
+        blob = path.read_bytes()
+        assert blob.count(old) == 1
+        path.write_bytes(blob.replace(old, new))
+        with pytest.raises(SnapshotError, match="malformed header"):
+            read_snapshot(str(path))
+
+    def test_refused_write_leaves_no_files(self, state16, tmp_path):
+        grid, state = state16
+        state.theta = state.theta[:-1]
+        with pytest.raises(SnapshotError, match="does not match"):
+            write_snapshot(str(tmp_path / "snap.bin"), state, grid)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestPpm:
     def test_header_and_size(self, tmp_path):

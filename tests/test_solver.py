@@ -147,7 +147,7 @@ class TestStepNS:
         state = SimState(
             t=0.0, step=0, phi=np.full(grid32.shape, 1.0), theta=grid32.zeros(), vel=MacVelocity(grid32)
         )
-        nxt, _ = advance(model, state, 1e-3)
+        nxt = advance(model, state, 1e-3)
         assert nxt.vel.max_speed() <= 1e-14
 
     def test_hydrostatic_rest_with_constant_buoyancy(self, grid32):
@@ -159,7 +159,7 @@ class TestStepNS:
             t=0.0, step=0, phi=np.full(grid32.shape, 1.0), theta=grid32.zeros(), vel=MacVelocity(grid32)
         )
         for _ in range(3):
-            state, _ = advance(model, state, 1e-3)
+            state = advance(model, state, 1e-3)
         assert state.vel.max_speed() <= 1e-12
         assert np.abs(state.phi - 1.0).max() <= 1e-12
 
@@ -167,7 +167,7 @@ class TestStepNS:
         model = build_model(grid32)
         state = spinodal_state(grid32)
         state.vel = random_divfree(grid32, seed=11)
-        nxt, _ = advance(model, state, 1e-4)
+        nxt = advance(model, state, 1e-4)
         assert np.abs(nxt.vel.divergence()).max() <= 1e-10
 
 
@@ -220,7 +220,7 @@ class TestAdvance:
                 theta=grid32.zeros(),
                 vel=MacVelocity(grid32),
             )
-            nxt, _ = advance(model, state, 1e-3)
+            nxt = advance(model, state, 1e-3)
             assert np.abs(nxt.phi - value).max() <= 1e-12
             assert np.abs(nxt.theta).max() <= 1e-12
             assert nxt.vel.max_speed() <= 1e-12
@@ -241,7 +241,7 @@ class TestAdvance:
             model = build_model(grid32)
             state = spinodal_state(grid32)
             for _ in range(10):
-                state, _ = advance(model, state, 1e-3)
+                state = advance(model, state, 1e-3)
             results.append(state)
         assert np.array_equal(results[0].phi, results[1].phi)
         assert np.array_equal(results[0].theta, results[1].theta)
@@ -259,7 +259,7 @@ class TestAdvance:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 for _ in range(200):
-                    state, _ = advance(model, state, 10.0)
+                    state = advance(model, state, 10.0)
         assert state_is_finite(info.value.state)
 
     def test_blow_up_carries_last_good_state(self, grid32):
@@ -274,7 +274,7 @@ class TestAdvance:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 for _ in range(200):
-                    state, _ = advance(model, state, 10.0, ledger=ledger)
+                    state = advance(model, state, 10.0, ledger=ledger)
         assert info.value.state is state
         assert state_is_finite(state)
         assert len(ledger.rows) == state.step
@@ -303,7 +303,7 @@ class TestAdvance:
         model = build_model(grid32)
         state = spinodal_state(grid32)
         for _ in range(5):
-            state, _ = advance(model, state, 1e-3, check_invariants=True)
+            state = advance(model, state, 1e-3, check_invariants=True)
 
     def test_run_to_cadence_callback(self, grid32):
         # integrate calls on_step after every step; a cadence is the caller's filter
@@ -338,7 +338,7 @@ class TestAdvance:
         m0 = float(state.phi.mean())
         forcing = uniform_forcing(grid, qx=0.05, z=0.1)
         for _ in range(25):
-            state, _ = advance(model, state, 1e-3, forcing)
+            state = advance(model, state, 1e-3, forcing)
         assert state_is_finite(state)
         assert abs(float(state.phi.mean()) - m0) <= 1e-12
         assert np.abs(state.vel.divergence()).max() <= 1e-10
@@ -375,25 +375,23 @@ class TestSharedChemicalPotential:
         model, state0, forcing = coupled_flow_setup(grid32, mode)
         plain, kept = state0, state0.copy()
         ledger = EnergyLedger()
-        e_prev = model.total_energy(kept)
         assert plain.vel.max_speed() > 0.0
         for _ in range(self.steps):
-            plain, energy = advance(model, plain, self.dt, forcing)
-            assert energy is None
-            kept, e_prev = advance(model, kept, self.dt, forcing, ledger=ledger, e_prev=e_prev)
+            plain = advance(model, plain, self.dt, forcing)
+            assert plain.energy is None
+            kept = advance(model, kept, self.dt, forcing, ledger=ledger)
             assert_same_state(plain, kept)
         assert len(ledger.rows) == self.steps
 
     def test_ledger_energies_match_model(self, grid32, mode):
         model, state, forcing = coupled_flow_setup(grid32, mode)
         ledger = EnergyLedger()
-        e_prev = model.total_energy(state)
         for _ in range(self.steps):
-            state, e_prev = advance(model, state, self.dt, forcing, ledger=ledger, e_prev=e_prev)
+            state = advance(model, state, self.dt, forcing, ledger=ledger)
             row = ledger.rows[-1]
-            assert row["E_interface"] == model.interface_energy(state.phi)
+            assert row["E_interface"] == model.mu_and_interface(state.phi, state.theta)[1]
             assert row["E_total"] == model.total_energy(state)
-            assert e_prev == row["E_total"]
+            assert state.energy == row["E_total"]
             assert np.array_equal(state.mu, model.chemical_potential(state.phi, state.theta))
 
     def test_ledger_energy_parts_match_their_formulas(self, grid32, mode):
@@ -402,7 +400,7 @@ class TestSharedChemicalPotential:
         pot, mat, area = model.potential, model.material, grid32.cell_area
         ledger = EnergyLedger()
         for _ in range(self.steps):
-            state, _ = advance(model, state, self.dt, forcing, ledger=ledger)
+            state = advance(model, state, self.dt, forcing, ledger=ledger)
             row = ledger.rows[-1]
             u_sq = np.sum(state.vel.u**2) + np.sum(state.vel.v**2)
             assert row["F_integral"] == pot.eta_f * float(np.sum(pot.f(state.phi)) * area)
@@ -413,27 +411,27 @@ class TestSharedChemicalPotential:
     def test_missing_mu_is_recomputed(self, grid32, mode):
         model, state, forcing = coupled_flow_setup(grid32, mode)
         ledger = EnergyLedger()
-        state, e_prev = advance(model, state, self.dt, forcing, ledger=ledger)
+        state = advance(model, state, self.dt, forcing, ledger=ledger)
         assert state.mu is not None
         resumed = state.copy()
         resumed.mu = None
         for _ in range(self.steps):
-            state, e_prev = advance(model, state, self.dt, forcing, ledger=ledger, e_prev=e_prev)
-            resumed, _ = advance(model, resumed, self.dt, forcing, ledger=EnergyLedger())
+            state = advance(model, state, self.dt, forcing, ledger=ledger)
+            resumed = advance(model, resumed, self.dt, forcing, ledger=EnergyLedger())
             assert_same_state(state, resumed)
             assert np.array_equal(state.mu, resumed.mu)
 
     def test_one_convolution_per_ledgered_step(self, grid32, mode, monkeypatch):
         model, state, forcing = coupled_flow_setup(grid32, mode)
         ledger = EnergyLedger()
-        state, e_prev = advance(model, state, self.dt, forcing, ledger=ledger)
+        state = advance(model, state, self.dt, forcing, ledger=ledger)
         calls = count_convolutions(monkeypatch)
         for k in range(1, self.steps):
-            state, e_prev = advance(model, state, self.dt, forcing, ledger=ledger, e_prev=e_prev)
+            state = advance(model, state, self.dt, forcing, ledger=ledger)
             assert len(calls) == (k if mode == "nonlocal" else 0)
         # a state without mu costs one more convolution, in its step_ch
         state.mu = None
-        advance(model, state, self.dt, forcing, ledger=ledger, e_prev=e_prev)
+        advance(model, state, self.dt, forcing, ledger=ledger)
         assert len(calls) == (self.steps + 1 if mode == "nonlocal" else 0)
 
 
@@ -451,12 +449,12 @@ class TestCarriedTerms:
         carried, carried_ledger = state0, EnergyLedger()
         fresh, fresh_ledger = state0, EnergyLedger()
         for _ in range(self.steps):
-            carried, _ = advance(model, carried, self.dt, forcing, ledger=carried_ledger)
+            carried = advance(model, carried, self.dt, forcing, ledger=carried_ledger)
             fresh = fresh.copy()
             assert all(
                 x is None for x in (fresh.mu, fresh.energy, fresh.viscous, fresh.g_dot_u, fresh.max_u)
             )
-            fresh, _ = advance(model, fresh, self.dt, forcing, ledger=fresh_ledger)
+            fresh = advance(model, fresh, self.dt, forcing, ledger=fresh_ledger)
             assert_same_state(carried, fresh)
             assert carried.viscous is not None and carried.g_dot_u is not None
         assert carried_ledger.rows == fresh_ledger.rows
@@ -464,7 +462,7 @@ class TestCarriedTerms:
     def test_each_state_term_computed_once_per_ledgered_step(self, grid32, mode, monkeypatch):
         model, state, forcing = coupled_flow_setup(grid32, mode)
         ledger = EnergyLedger()
-        state, _ = advance(model, state, self.dt, forcing, ledger=ledger)
+        state = advance(model, state, self.dt, forcing, ledger=ledger)
         assert state.vel.max_speed() > 0.0
         counted = {
             "convolve": count_calls(monkeypatch, nlchb.kernel.convolve),
@@ -473,7 +471,7 @@ class TestCarriedTerms:
             "buoyancy": count_calls(monkeypatch, nlchb.physics.buoyancy),
         }
         for k in range(1, self.steps):
-            state, _ = advance(model, state, self.dt, forcing, ledger=ledger)
+            state = advance(model, state, self.dt, forcing, ledger=ledger)
             for name, calls in counted.items():
                 expected = 0 if name == "convolve" and mode == "local" else k
                 assert len(calls) == expected, name
@@ -502,9 +500,8 @@ class TestIntegrate:
     def test_ledgered_run_matches_advance_loop(self, grid32):
         model, state, forcing = coupled_flow_setup(grid32, "nonlocal")
         looped, ledger = state, EnergyLedger()
-        e_prev = model.total_energy(state)
         for _ in range(4):
-            looped, e_prev = advance(model, looped, 5e-4, forcing, ledger=ledger, e_prev=e_prev)
+            looped = advance(model, looped, 5e-4, forcing, ledger=ledger)
         integrated = EnergyLedger()
         end = integrate(model, state, 5e-4, 2e-3, forcing, ledger=integrated)
         assert_same_state(end, looped)
@@ -551,7 +548,7 @@ class TestEnergyDecay:
         for _ in range(50):
             phi_next, _ = step_ch(model, state, 1e-3)
             state.phi = phi_next
-            e = model.interface_energy(state.phi) + 2.0 * model.potential.eta_f * float(
+            e = model.mu_and_interface(state.phi, state.theta)[1] + 2.0 * model.potential.eta_f * float(
                 np.sum(model.potential.f(state.phi)) * grid32.cell_area
             )
             if prev is not None:
@@ -588,7 +585,7 @@ class TestForcing:
         model = build_model(grid32)
         state = spinodal_state(grid32)
         forcing = Forcing(z=np.full(grid32.shape, 1.0))
-        nxt, _ = advance(model, state, 1e-3, forcing)
+        nxt = advance(model, state, 1e-3, forcing)
         dh = float(np.mean(nxt.theta - model.material.l_h * nxt.phi)) - float(
             np.mean(state.theta - model.material.l_h * state.phi)
         )

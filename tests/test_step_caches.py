@@ -41,19 +41,19 @@ SCALES = [1e-8, 1.0, 1e3]
 
 
 def oracle_helmholtz_solve(grid, alpha, beta, rhs):
-    coeffs = dct2_transform(grid, rhs)
-    return dct2_inverse(grid, coeffs / (alpha + beta * grid.laplacian_eigenvalues()))
+    coeffs = dct2_transform(rhs)
+    return dct2_inverse(coeffs / (alpha + beta * grid.laplacian_eigenvalues()))
 
 
 def oracle_project(grid, vel):
     div = vel.divergence()
-    coeffs = dct2_transform(grid, div)
+    coeffs = dct2_transform(div)
     lam = grid.laplacian_eigenvalues()
     lam_safe = lam.copy()
     lam_safe[0, 0] = 1.0
     coeffs = -coeffs / lam_safe
     coeffs[0, 0] = 0.0
-    psi = dct2_inverse(grid, coeffs)
+    psi = dct2_inverse(coeffs)
     out = vel.copy()
     out.u[1:-1, :] -= np.diff(psi, axis=0) / grid.dx
     out.v[:, 1:-1] -= np.diff(psi, axis=1) / grid.dy
@@ -220,7 +220,7 @@ def test_buoyancy_built_only_with_gravity(grid32, monkeypatch, ledgered, g, per_
     calls = count_calls(monkeypatch, nlchb.physics.buoyancy)
     steps = 3
     for _ in range(steps):
-        state, _ = advance(model, state, 5e-4, ledger=EnergyLedger() if ledgered else None)
+        state = advance(model, state, 5e-4, ledger=EnergyLedger() if ledgered else None)
     assert len(calls) == per_step * steps
 
 
@@ -250,11 +250,11 @@ def test_max_speed_once_per_step(grid32, monkeypatch, ledgered):
     model = flow_model(grid32, (0.3, -1.0))
     forcing = Forcing(z=np.full(grid32.shape, 0.1))
     ledger = EnergyLedger() if ledgered else None
-    state, _ = advance(model, smooth_flow_state(grid32), 5e-4, forcing, ledger)
+    state = advance(model, smooth_flow_state(grid32), 5e-4, forcing, ledger)
     assert state.max_u == state.vel.max_speed() > 0.0
     calls = count_max_speed(monkeypatch)
     for k in range(1, 4):
-        state, _ = advance(model, state, 5e-4, forcing, ledger)
+        state = advance(model, state, 5e-4, forcing, ledger)
         assert len(calls) == k
         assert calls[-1] is state.vel
     if ledgered:
