@@ -65,39 +65,48 @@ class KernelResolutionWarning(UserWarning):
     """Raised (as a warning) when eps is under-resolved on the target grid."""
 
 
-def _profile_bump(s: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(s)
-    m = s < 1.0
-    out[m] = np.exp(-1.0 / (1.0 - s[m] ** 2))
-    return out
+def _bump(s):
+    return np.exp(-1.0 / (1.0 - s * s))
 
 
-def _profile_bump_prime(s: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(s)
-    m = s < 1.0
-    sm = s[m]
-    out[m] = np.exp(-1.0 / (1.0 - sm**2)) * (-2.0 * sm / (1.0 - sm**2) ** 2)
-    return out
+def _bump_prime(s):
+    q = 1.0 - s * s
+    return np.exp(-1.0 / q) * (-2.0 * s / (q * q))
 
 
-def _profile_quartic(s: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(s)
-    m = s < 1.0
-    out[m] = (1.0 - s[m] ** 2) ** 2
-    return out
+def _quartic(s):
+    q = 1.0 - s * s
+    return q * q
 
 
-def _profile_quartic_prime(s: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(s)
-    m = s < 1.0
-    out[m] = -4.0 * s[m] * (1.0 - s[m] ** 2)
+def _quartic_prime(s):
+    return -4.0 * s * (1.0 - s * s)
+
+
+def _on_support(formula, x, lo: float | None, hi: float):
+    """formula(x) where lo < x < hi (x < hi when lo is None), +0 elsewhere.
+
+    A float (a quadrature node) runs the formula on that one number. For an
+    array whose points all lie inside, as at the deep quadtree levels of
+    `sample_kernel`, the formula runs on `x` itself, with no mask, gather or
+    scatter. Squares are written s * s and powers np.power: those round a
+    float as the array path does, and `**` does not.
+    """
+    if isinstance(x, float):
+        return formula(x) if x < hi and (lo is None or x > lo) else 0.0
+    x = np.asarray(x, dtype=float)
+    inside = x < hi if lo is None else (x > lo) & (x < hi)
+    if inside.all():
+        return formula(x)
+    out = np.zeros_like(x)
+    out[inside] = formula(x[inside])
     return out
 
 
 #: shape_id -> (profile, derivative); profiles are C^1, nonnegative, supported in [0, 1]
 PROFILES = {
-    "bump": (_profile_bump, _profile_bump_prime),
-    "quartic": (_profile_quartic, _profile_quartic_prime),
+    shape: tuple(functools.partial(_on_support, f, lo=None, hi=1.0) for f in formulas)
+    for shape, formulas in (("bump", (_bump, _bump_prime)), ("quartic", (_quartic, _quartic_prime)))
 }
 
 
@@ -123,12 +132,10 @@ class Mollifier:
     c_eta: float
 
     def eta(self, s) -> np.ndarray:
-        base, _ = PROFILES[self.shape_id]
-        return self.c_eta * base(np.asarray(s, dtype=float))
+        return self.c_eta * PROFILES[self.shape_id][0](s)
 
     def eta_prime(self, s) -> np.ndarray:
-        _, dbase = PROFILES[self.shape_id]
-        return self.c_eta * dbase(np.asarray(s, dtype=float))
+        return self.c_eta * PROFILES[self.shape_id][1](s)
 
     def renormalization_residual(self) -> float:
         """Relative defect of the calibration integral against 2/C_d."""
@@ -140,53 +147,49 @@ class Mollifier:
 
     def kernel_value(self, r, eps: float) -> np.ndarray:
         """J_eps at radius r (amplitude already includes GRADIENT_LIMIT_SCALE)."""
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        m = (r > 0.0) & (r < eps)
         amp = GRADIENT_LIMIT_SCALE / eps ** (2.0 - self.gamma + self.d)
-        out[m] = amp * self.eta(r[m] / eps) / r[m] ** self.gamma
-        return out
+        return _on_support(lambda r: amp * self.eta(r / eps) / np.power(r, self.gamma), r, 0.0, eps)
 
     def kernel_radial_derivative(self, r, eps: float) -> np.ndarray:
         """dJ_eps/dr away from the origin (used for the W^{1,1} seminorm)."""
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        m = (r > 0.0) & (r < eps)
-        rm = r[m]
         amp = GRADIENT_LIMIT_SCALE / eps ** (2.0 - self.gamma + self.d)
-        out[m] = amp * (
-            self.eta_prime(rm / eps) / eps / rm**self.gamma
-            - self.gamma * self.eta(rm / eps) / rm ** (self.gamma + 1.0)
-        )
-        return out
+        g = self.gamma
+
+        def dj(r):
+            s = r / eps
+            return amp * (
+                self.eta_prime(s) / eps / np.power(r, g) - g * self.eta(s) / np.power(r, g + 1.0)
+            )
+
+        return _on_support(dj, r, 0.0, eps)
 
 
-@functools.lru_cache(maxsize=32)
 def calibrate_mollifier(gamma: float, d: int = 2, shape_id: str = "bump") -> Mollifier:
     """Fix c_eta so the renormalization integral equals 2/C_d.
 
     The integral is linear in c_eta, so the calibration is the unique
     positive root of a one-dimensional linear equation. `Mollifier` is
     frozen, so one calibration per (gamma, d, shape_id) is kept and shared
-    by every model built with it (e.g. each member of an eps sweep).
+    by every model built with it (e.g. each member of an eps sweep), however
+    the arguments are passed.
     """
     if not 0.0 < gamma < d - 1:
         raise ValueError(f"gamma={gamma} outside the admissible range (0, {d - 1})")
     if shape_id not in PROFILES:
         raise ValueError(f"unknown mollifier shape {shape_id!r}; known: {sorted(PROFILES)}")
+    return _calibrated(float(gamma), d, shape_id)
+
+
+@functools.lru_cache(maxsize=32)
+def _calibrated(gamma: float, d: int, shape_id: str) -> Mollifier:
     base, _ = PROFILES[shape_id]
     raw, err = integrate.quad(
-        lambda s: base(np.asarray([s]))[0] * s ** (d + 1 - gamma),
-        0.0,
-        1.0,
-        limit=400,
-        epsabs=1e-14,
-        epsrel=1e-13,
+        lambda s: base(s) * s ** (d + 1 - gamma), 0.0, 1.0, limit=400, epsabs=1e-14, epsrel=1e-13
     )
     if not np.isfinite(raw) or raw <= 0.0 or err > 1e-9 * raw:
         raise RuntimeError(f"mollifier calibration quadrature did not converge (I={raw}, err={err})")
     c_eta = (2.0 / compute_cd(d)) / raw
-    return Mollifier(gamma=float(gamma), d=int(d), shape_id=shape_id, c_eta=float(c_eta))
+    return Mollifier(gamma=gamma, d=int(d), shape_id=shape_id, c_eta=float(c_eta))
 
 
 # 4x4 tensor Gauss-Legendre rule used by the adaptive cell averaging.
@@ -330,7 +333,7 @@ def sample_kernel(mollifier: Mollifier, epsilon: float, grid: Grid) -> KernelGri
     edge_avg = epsilon >= RESOLVED_CELLS * h
     half_diag = 0.5 * np.hypot(dx, dy)
     # absolute tolerance floor: tiny fraction of the mid-support kernel value
-    floor = 1e-10 * float(mollifier.kernel_value(np.asarray([epsilon / 2.0]), epsilon)[0])
+    floor = 1e-10 * float(mollifier.kernel_value(epsilon / 2.0, epsilon))
 
     # first quadrant of displacement indices, then mirror for exact symmetry
     mi_max = min(nx, int(epsilon / dx) + 1)
@@ -437,12 +440,8 @@ def kernel_norms(kernel: KernelGrid) -> dict[str, float]:
 
     mollifier = calibrate_mollifier(kernel.gamma, d=2, shape_id=kernel.shape_id)
     # profiles here are nonincreasing, so |J'| = -J' and the integrand is smooth
-    grad_inner, _ = integrate.quad(
-        lambda r: 2.0 * np.pi * r * abs(float(mollifier.kernel_radial_derivative(np.asarray([r]), kernel.epsilon)[0])),
-        0.0,
-        r0,
-        limit=200,
-    )
+    dj = functools.partial(mollifier.kernel_radial_derivative, eps=kernel.epsilon)
+    grad_inner, _ = integrate.quad(lambda r: 2.0 * np.pi * r * abs(float(dj(r))), 0.0, r0, limit=200)
 
     K = np.fft.fftshift(kernel.values)
     zx = (np.arange(2 * g.nx) - g.nx)[:, None] * g.dx

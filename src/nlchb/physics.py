@@ -51,17 +51,18 @@ class PotentialParams:
         if self.eta_f < 0.0:
             raise ValueError("eta_f must be nonnegative")
         object.__setattr__(self, "degree", deg)
+        # coefficients of F' and F'', built once (not fields: equality and hash keep to coeffs)
+        object.__setattr__(self, "_df_coeffs", np.polynomial.polynomial.polyder(c))
+        object.__setattr__(self, "_ddf_coeffs", np.polynomial.polynomial.polyder(c, 2))
 
     def f(self, s):
         return np.polynomial.polynomial.polyval(s, self.coeffs)
 
     def df(self, s):
-        c = np.polynomial.polynomial.polyder(self.coeffs)
-        return np.polynomial.polynomial.polyval(s, c)
+        return np.polynomial.polynomial.polyval(s, self._df_coeffs)
 
     def ddf(self, s):
-        c = np.polynomial.polynomial.polyder(self.coeffs, 2)
-        return np.polynomial.polynomial.polyval(s, c)
+        return np.polynomial.polynomial.polyval(s, self._ddf_coeffs)
 
 
 @dataclass(frozen=True)

@@ -78,7 +78,8 @@ def grid32():
 
 
 def count_calls(monkeypatch, raw):
-    """Wrap the function `raw` at every nlchb binding; returns the list of calls."""
+    """Wrap the function `raw` at every nlchb binding, module attributes and
+    methods of the classes they hold; returns the list of calls' arguments."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -87,7 +88,9 @@ def count_calls(monkeypatch, raw):
 
     for name, module in list(sys.modules.items()):
         if module is not None and (name == "nlchb" or name.startswith("nlchb.")):
-            for key, value in list(vars(module).items()):
-                if value is raw:
-                    monkeypatch.setattr(module, key, counted)
+            classes = [v for v in vars(module).values() if isinstance(v, type)]
+            for owner in [module, *classes]:
+                for key, value in list(vars(owner).items()):
+                    if value is raw:
+                        monkeypatch.setattr(owner, key, counted)
     return calls

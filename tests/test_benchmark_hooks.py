@@ -1,8 +1,9 @@
 """The benchmark times nlchb by wrapping functions it names in perfbench/tracing.py.
 
 A renamed or removed target is reported there as absent and its metrics read 0,
-so the benchmark would keep running blind. These tests resolve every target the
-way the tracer does, without wrapping anything.
+so the benchmark would keep running blind. The first tests resolve every target
+the way the tracer does, without wrapping anything; the last pins the kernel
+counts the tracer reads from `Mollifier.kernel_value`.
 """
 
 import importlib
@@ -10,6 +11,7 @@ import importlib.util
 import os
 import sys
 
+import numpy as np
 import pytest
 
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
@@ -45,3 +47,25 @@ def test_model_build_is_a_classmethod(tracing):
 
     assert ("model.build", "nlchb.solver", "Model.build") in tracing.TIMERS
     assert isinstance(vars(Model)["build"], classmethod)
+
+
+def test_spinodal_build_and_validation_count_through_kernel_value(monkeypatch):
+    # perfbench counts kernel work by wrapping Mollifier.kernel_value; these are
+    # the counts its traced spinodal-64 runs record, so sampling that bypassed
+    # the method would show here instead of silently reading 0 there
+    from conftest import count_calls
+
+    from nlchb.config import parse_config
+    from nlchb.kernel import Mollifier, _calibrated
+    from nlchb.physics import validate_assumptions
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "spinodal.cfg")
+    with open(path, encoding="utf-8") as fh:
+        config = parse_config(fh.read(), base_dir=os.path.dirname(path))
+    _calibrated.cache_clear()
+    calls = count_calls(monkeypatch, Mollifier.kernel_value)
+    model = config.build_model()
+    validate_assumptions(model.kernel, model.a, config.potential, config.material)
+    assert len(calls) == 34
+    assert sum(np.size(args[1]) for args in calls) == 134197
+    assert _calibrated.cache_info().misses == 1

@@ -2,7 +2,8 @@
 
 Brute-force oracles: O(N^4) direct convolution, direct double-sum energy,
 a scalar cell-by-cell kernel sampler,
-scipy adaptive quadrature for all continuum integrals.
+scipy adaptive quadrature for all continuum integrals,
+and frozen copies of the masked kernel formulas (bit-for-bit references).
 """
 
 import numpy as np
@@ -17,9 +18,12 @@ from nlchb.kernel import (
     AVG_RING_FRACTION,
     AVG_RING_MAX,
     CELL_AVG_REL_TOL,
+    GRADIENT_LIMIT_SCALE,
+    PROFILES,
     RESOLVED_CELLS,
     KernelGrid,
     KernelResolutionWarning,
+    _calibrated,
     calibrate_mollifier,
     compute_a,
     compute_cd,
@@ -81,6 +85,128 @@ def outer_lattice_grad_l1(kernel):
     return float(np.sum(np.hypot(gx, gy)[np.hypot(zx, zy) > r0]) * g.cell_area)
 
 
+# Frozen references: the kernel formulas as masked array code, with each
+# quadrature node wrapped in a one-element array. `nlchb.kernel` evaluates
+# nodes on floats and skips the mask when every point is inside; it must
+# reproduce these bits exactly.
+
+
+def frozen_bump(s):
+    out = np.zeros_like(s)
+    m = s < 1.0
+    out[m] = np.exp(-1.0 / (1.0 - s[m] ** 2))
+    return out
+
+
+def frozen_bump_prime(s):
+    out = np.zeros_like(s)
+    m = s < 1.0
+    sm = s[m]
+    out[m] = np.exp(-1.0 / (1.0 - sm**2)) * (-2.0 * sm / (1.0 - sm**2) ** 2)
+    return out
+
+
+def frozen_quartic(s):
+    out = np.zeros_like(s)
+    m = s < 1.0
+    out[m] = (1.0 - s[m] ** 2) ** 2
+    return out
+
+
+def frozen_quartic_prime(s):
+    out = np.zeros_like(s)
+    m = s < 1.0
+    out[m] = -4.0 * s[m] * (1.0 - s[m] ** 2)
+    return out
+
+
+FROZEN_PROFILES = {
+    "bump": (frozen_bump, frozen_bump_prime),
+    "quartic": (frozen_quartic, frozen_quartic_prime),
+}
+
+
+def frozen_eta(m, s):
+    return m.c_eta * FROZEN_PROFILES[m.shape_id][0](np.asarray(s, dtype=float))
+
+
+def frozen_eta_prime(m, s):
+    return m.c_eta * FROZEN_PROFILES[m.shape_id][1](np.asarray(s, dtype=float))
+
+
+def frozen_kernel_value(m, r, eps):
+    r = np.asarray(r, dtype=float)
+    out = np.zeros_like(r)
+    mask = (r > 0.0) & (r < eps)
+    amp = GRADIENT_LIMIT_SCALE / eps ** (2.0 - m.gamma + m.d)
+    out[mask] = amp * frozen_eta(m, r[mask] / eps) / r[mask] ** m.gamma
+    return out
+
+
+def frozen_kernel_radial_derivative(m, r, eps):
+    r = np.asarray(r, dtype=float)
+    out = np.zeros_like(r)
+    mask = (r > 0.0) & (r < eps)
+    rm = r[mask]
+    amp = GRADIENT_LIMIT_SCALE / eps ** (2.0 - m.gamma + m.d)
+    out[mask] = amp * (
+        frozen_eta_prime(m, rm / eps) / eps / rm**m.gamma
+        - m.gamma * frozen_eta(m, rm / eps) / rm ** (m.gamma + 1.0)
+    )
+    return out
+
+
+def frozen_c_eta(gamma, d, shape_id):
+    base, _ = FROZEN_PROFILES[shape_id]
+    raw, _ = integrate.quad(
+        lambda s: base(np.asarray([s]))[0] * s ** (d + 1 - gamma),
+        0.0,
+        1.0,
+        limit=400,
+        epsabs=1e-14,
+        epsrel=1e-13,
+    )
+    return float((2.0 / compute_cd(d)) / raw)
+
+
+def frozen_renormalization_residual(m):
+    target = 2.0 / compute_cd(m.d)
+    val, _ = integrate.quad(lambda s: frozen_eta(m, s) * s ** (m.d + 1 - m.gamma), 0.0, 1.0, limit=200)
+    return abs(val - target) / target
+
+
+def frozen_kernel_norms(kernel):
+    g = kernel.grid
+    l1 = kernel.l1()
+    h = max(g.dx, g.dy)
+    ring = min(AVG_RING_MAX, int(AVG_RING_FRACTION * kernel.epsilon / h)) + 1
+    r0 = min((ring + 0.5) * h, kernel.epsilon)
+    m = calibrate_mollifier(kernel.gamma, d=2, shape_id=kernel.shape_id)
+    grad_inner, _ = integrate.quad(
+        lambda r: 2.0 * np.pi * r * abs(float(frozen_kernel_radial_derivative(m, np.asarray([r]), kernel.epsilon)[0])),
+        0.0,
+        r0,
+        limit=200,
+    )
+    K = np.fft.fftshift(kernel.values)
+    zx = (np.arange(2 * g.nx) - g.nx)[:, None] * g.dx
+    zy = (np.arange(2 * g.ny) - g.ny)[None, :] * g.dy
+    outer = np.hypot(zx, zy) > r0
+    gx = np.zeros_like(K)
+    gy = np.zeros_like(K)
+    gx[1:-1, :] = (K[2:, :] - K[:-2, :]) / (2.0 * g.dx)
+    gy[:, 1:-1] = (K[:, 2:] - K[:, :-2]) / (2.0 * g.dy)
+    grad_outer = float(np.sum(np.hypot(gx, gy)[outer]) * g.cell_area)
+    return {"l1": l1, "grad_l1": grad_inner + grad_outer}
+
+
+def oracle_radii(eps):
+    """At least 20 000 radii: the support ends, the last float inside, points
+    beyond eps, the smallest normal scales, and dense and geometric fills."""
+    special = [0.0, 1e-300, 5e-324, eps, np.nextafter(eps, 0.0), np.nextafter(eps, 1.0), 1.5 * eps, 2.0 * eps]
+    return np.concatenate([special, np.linspace(0.0, 1.5 * eps, 20000), np.geomspace(1e-12, eps, 2000)])
+
+
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(4)
 
 
@@ -88,7 +214,7 @@ def scalar_gauss_cell(mollifier, eps, cx, cy, hx, hy):
     X = cx + _GL_X[:, None] * hx / 2.0
     Y = cy + _GL_X[None, :] * hy / 2.0
     W = (_GL_W[:, None] * _GL_W[None, :]) / 4.0
-    return float(np.sum(W * mollifier.kernel_value(np.hypot(X, Y), eps)))
+    return float(np.sum(W * frozen_kernel_value(mollifier, np.hypot(X, Y), eps)))
 
 
 def scalar_cell_average(mollifier, eps, cx, cy, hx, hy, floor, depth=0):
@@ -104,13 +230,14 @@ def scalar_cell_average(mollifier, eps, cx, cy, hx, hy, floor, depth=0):
 
 
 def scalar_sample_kernel(mollifier, eps, grid):
-    """Scalar oracle for `sample_kernel`: the same sampling policy, one cell at a time."""
+    """Scalar oracle for `sample_kernel`: the same sampling policy, one cell at
+    a time, on the frozen masked `kernel_value`."""
     nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
     h = max(dx, dy)
     ring = min(AVG_RING_MAX, int(AVG_RING_FRACTION * eps / h))
     edge_avg = eps >= RESOLVED_CELLS * h
     half_diag = 0.5 * np.hypot(dx, dy)
-    floor = 1e-10 * float(mollifier.kernel_value(np.asarray([eps / 2.0]), eps)[0])
+    floor = 1e-10 * float(frozen_kernel_value(mollifier, np.asarray([eps / 2.0]), eps)[0])
     values = np.zeros((2 * nx, 2 * ny))
     for i in range(min(nx, int(eps / dx) + 1) + 1):
         for j in range(min(ny, int(eps / dy) + 1) + 1):
@@ -120,7 +247,7 @@ def scalar_sample_kernel(mollifier, eps, grid):
             if max(i, j) <= ring or (edge_avg and rc + half_diag > eps):
                 v = scalar_cell_average(mollifier, eps, i * dx, j * dy, dx, dy, floor)
             else:
-                v = float(mollifier.kernel_value(np.asarray([rc]), eps)[0])
+                v = float(frozen_kernel_value(mollifier, np.asarray([rc]), eps)[0])
             for ii in {i % (2 * nx), (-i) % (2 * nx)}:
                 for jj in {j % (2 * ny), (-j) % (2 * ny)}:
                     values[ii, jj] = v
@@ -159,10 +286,18 @@ class TestMollifier:
     def test_calibration_is_memoized_with_fresh_values(self):
         m = calibrate_mollifier(0.37, shape_id="quartic")
         assert calibrate_mollifier(0.37, shape_id="quartic") is m
-        fresh = calibrate_mollifier.__wrapped__(0.37, shape_id="quartic")
+        fresh = _calibrated.__wrapped__(0.37, 2, "quartic")
         assert fresh is not m
         assert (fresh.gamma, fresh.d, fresh.shape_id) == (m.gamma, m.d, m.shape_id)
         assert fresh.c_eta.hex() == m.c_eta.hex()
+
+    def test_calibration_cache_is_shared_by_every_call_form(self):
+        misses = _calibrated.cache_info().misses
+        m = calibrate_mollifier(0.4321)
+        assert calibrate_mollifier(0.4321, 2) is m
+        assert calibrate_mollifier(0.4321, d=2, shape_id="bump") is m
+        assert calibrate_mollifier(np.float64(0.4321), d=2.0) is m
+        assert _calibrated.cache_info().misses == misses + 1
 
     @pytest.mark.parametrize("gamma", [-0.1, 0.0, 1.0, 1.5])
     def test_gamma_out_of_range(self, gamma):
@@ -179,6 +314,8 @@ class TestMollifier:
         eta = m.eta(s)
         assert np.all(eta >= 0.0)
         assert np.all(eta[s >= 1.0] == 0.0)
+        for x in (1.0, 1.5, np.float64(2.0), np.asarray(1.0), np.asarray(3.0)):
+            assert m.eta(x) == 0.0 and m.eta_prime(x) == 0.0
 
     @pytest.mark.parametrize("shape", ["bump", "quartic"])
     def test_derivative_weight_integrable(self, shape):
@@ -198,6 +335,66 @@ class TestMollifier:
         assert m.renormalization_residual() <= 1e-8
         with pytest.raises(ValueError):
             calibrate_mollifier(2.5, d=3)
+        with pytest.raises(ValueError):
+            calibrate_mollifier(0.5, d=2.5)
+
+
+CASES = [(eps, gamma, shape) for eps in (0.2, 0.05) for gamma in (0.1, 0.5, 0.8) for shape in ("bump", "quartic")]
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestFrozenFormulas:
+    """The kernel formulas reproduce the frozen masked references bit for bit."""
+
+    @pytest.mark.parametrize("shape", ["bump", "quartic"])
+    def test_profiles(self, shape):
+        s = oracle_radii(1.0)
+        for new, old in zip(PROFILES[shape], FROZEN_PROFILES[shape]):
+            assert same_bits(new(s), old(s))
+            for x in s[::97]:
+                ref = old(np.asarray([x]))[0]
+                assert same_bits(new(float(x)), ref)
+                assert same_bits(new(np.float64(x)), ref)
+                assert same_bits(new(np.asarray(x)), ref)
+
+    @pytest.mark.parametrize("eps,gamma,shape", CASES)
+    def test_kernel_value_and_derivative(self, eps, gamma, shape):
+        m = calibrate_mollifier(gamma, shape_id=shape)
+        r = oracle_radii(eps)
+        pairs = [
+            (m.kernel_value, lambda r: frozen_kernel_value(m, r, eps)),
+            (m.kernel_radial_derivative, lambda r: frozen_kernel_radial_derivative(m, r, eps)),
+        ]
+        with np.errstate(all="ignore"):  # the subnormal radius overflows |z|^-(gamma+1)
+            for new, old in pairs:
+                assert same_bits(new(r, eps), old(r))
+                for x in r[::41]:  # the quadrature integrands evaluate one node at a time
+                    ref = old(np.asarray([x]))[0]
+                    assert same_bits(new(float(x), eps), ref)
+                    assert same_bits(new(np.float64(x), eps), ref)
+                    assert same_bits(new(np.asarray(x), eps), ref)
+            assert same_bits(m.eta(r / eps), frozen_eta(m, r / eps))
+            assert same_bits(m.eta_prime(r / eps), frozen_eta_prime(m, r / eps))
+        assert m.renormalization_residual() == frozen_renormalization_residual(m)
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.25, 0.5, 0.5000001, 0.8, 0.9])
+    @pytest.mark.parametrize("shape", ["bump", "quartic"])
+    def test_calibration(self, gamma, shape):
+        assert _calibrated.__wrapped__(gamma, 2, shape).c_eta.hex() == frozen_c_eta(gamma, 2, shape).hex()
+
+    @pytest.mark.parametrize(
+        "n,eps,gamma,shape",
+        [(64, 0.2, 0.5, "bump"), (256, 0.1, 0.5, "bump"), (32, 0.25, 0.5, "quartic"), (64, 0.05, 0.8, "bump")],
+    )
+    def test_kernel_norms(self, n, eps, gamma, shape):
+        k = sample_kernel(calibrate_mollifier(gamma, shape_id=shape), eps, make_grid(n, n, 1.0, 1.0))
+        got, ref = kernel_norms(k), frozen_kernel_norms(k)
+        assert got["l1"].hex() == ref["l1"].hex()
+        assert got["grad_l1"].hex() == ref["grad_l1"].hex()
 
 
 class TestSampleKernel:

@@ -44,6 +44,22 @@ class TestPotential:
         assert np.abs(pot.df(s) - fd1).max() <= 1e-6
         assert np.abs(pot.ddf(s) - fd2).max() <= 1e-5
 
+    @pytest.mark.parametrize("coeffs", [None, (0.1, -0.3, -0.5, 0.2, 0.4, 0.0, 0.05)])
+    def test_derivatives_match_polyder_bitwise(self, coeffs):
+        # F' and F'' are built once per potential, with the bits of polyder per call
+        pot = PotentialParams() if coeffs is None else PotentialParams(coeffs=coeffs)
+        P = np.polynomial.polynomial
+        s = np.linspace(-2.5, 2.5, 1001)
+        for k, deriv in ((1, pot.df), (2, pot.ddf)):
+            ref = P.polyder(pot.coeffs, k)
+            assert deriv(s).tobytes() == P.polyval(s, ref).tobytes()
+            for x in (0.3, -1.7, np.float64(0.9)):
+                assert np.asarray(deriv(x)).tobytes() == np.asarray(P.polyval(x, ref)).tobytes()
+
+    def test_derivative_coefficients_leave_equality_alone(self):
+        assert PotentialParams(eta_f=2.0) == PotentialParams(eta_f=2.0)
+        assert hash(PotentialParams(eta_f=2.0)) == hash(PotentialParams(eta_f=2.0))
+
     def test_odd_degree_rejected(self):
         with pytest.raises(ValueError):
             PotentialParams(coeffs=(0.0, 0.0, 1.0, 0.5))
