@@ -204,8 +204,7 @@ def cmd_sweep_eps(config_path: str, eps_list: list[float]) -> int:
         safety=config.safety,
         keep_ledgers=True,
     )
-    ledgers = report.metadata.pop("ledgers", {})
-    for eps, ledger in ledgers.items():
+    for eps, ledger in report.ledgers.items():
         subdir = os.path.join(outdir, f"eps_{eps:g}")
         os.makedirs(subdir, exist_ok=True)
         with LedgerCsvWriter(os.path.join(subdir, "ledger.csv")) as csv:
@@ -228,7 +227,7 @@ def cmd_sweep_eps(config_path: str, eps_list: list[float]) -> int:
     return 0
 
 
-def cmd_oracle(config_path: str, corrupt_kernel: bool = False) -> int:
+def cmd_oracle(config_path: str) -> int:
     config = _load_config(config_path)
     grid = config.grid
     if grid.nx * grid.ny > ORACLE_MAX_CELLS:
@@ -255,10 +254,6 @@ def cmd_oracle(config_path: str, corrupt_kernel: bool = False) -> int:
     check("mollifier_calibration", mollifier.renormalization_residual(), 1e-8)
 
     kernel = sample_kernel(mollifier, config.epsilon, grid)
-    if corrupt_kernel:
-        # test hook: break the even symmetry of the sampled kernel
-        kernel.values[1, 2] *= 1.5
-
     ii = (-np.arange(2 * grid.nx)) % (2 * grid.nx)
     jj = (-np.arange(2 * grid.ny)) % (2 * grid.ny)
     sym = float(np.abs(kernel.values - kernel.values[np.ix_(ii, jj)]).max())
@@ -333,9 +328,6 @@ def main(argv: list[str] | None = None) -> int:
 
     p_oracle = sub.add_parser("oracle", help="run the brute-force oracle battery")
     p_oracle.add_argument("config")
-    p_oracle.add_argument(
-        "--inject-kernel-asymmetry", action="store_true", help=argparse.SUPPRESS
-    )
 
     args = parser.parse_args(argv)
     try:
@@ -350,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep-eps":
             return cmd_sweep_eps(args.config, _parse_eps(args.eps))
         if args.command == "oracle":
-            return cmd_oracle(args.config, corrupt_kernel=args.inject_kernel_asymmetry)
+            return cmd_oracle(args.config)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 1

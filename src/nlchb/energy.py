@@ -223,35 +223,23 @@ def _viscous_parts(
     return nu, _nu_at_corners(grid, nu), mac_deformation(grid, vel)
 
 
-def _g_dot_u(material: MaterialParams, vel: MacVelocity) -> np.ndarray | float:
-    """g . u at cell centers (0.0 when g is zero)."""
-    gx, gy = material.g
-    if gx == 0.0 and gy == 0.0:
-        return 0.0
-    u_c = 0.5 * (vel.u[1:, :] + vel.u[:-1, :])
-    v_c = 0.5 * (vel.v[:, 1:] + vel.v[:, :-1])
-    return gx * u_c + gy * v_c
-
-
 def dissipation(
     grid: Grid,
-    phi: np.ndarray,
     mu: np.ndarray,
-    vel: MacVelocity,
     theta: np.ndarray,
     material: MaterialParams,
-    viscous: tuple | None = None,
+    viscous: tuple,
 ) -> float:
     """D = (1/l_c)|grad mu|^2 + (2/(K l_c)) |sqrt(nu) D u|^2 + (kappa/l_h)|grad theta|^2.
 
     |sqrt(nu) D u|^2 = int nu(phi) (Dxx^2 + Dyy^2 + 2 Dxy^2) on the staggered
-    grid; `viscous` is `_viscous_parts` of (phi, vel), computed here when None.
+    grid; `viscous` is `_viscous_parts` of the state's (phi, vel).
     """
     gmx, gmy = gradient_cc(grid, mu)
     grad_mu_sq = float(np.sum(gmx**2 + gmy**2) * grid.cell_area)
     gtx, gty = gradient_cc(grid, theta)
     grad_th_sq = float(np.sum(gtx**2 + gty**2) * grid.cell_area)
-    nu, nu_c, (dxx, dyy, dxy) = viscous or _viscous_parts(grid, material, phi, vel)
+    nu, nu_c, (dxx, dyy, dxy) = viscous
     diag = float(np.sum(nu * (dxx**2 + dyy**2)) * grid.cell_area)
     off = float(np.sum(_corner_weights(grid) * nu_c * 2.0 * dxy**2))
     return (
@@ -275,7 +263,7 @@ def work_terms(
 
     Returns the four named contributions; each already carries 1/(K l_c) (the
     momentum pair) or 1/l_h (the heat pair). `buoy` is the buoyancy of the state
-    and `g_dot_u` is `_g_dot_u(material, vel)`. With zero gravity both are
+    and `g_dot_u` is g . u at the cell centers. With zero gravity both are
     identically zero (`buoy` is None), and `work_buoy` and `work_gu` stay 0.0
     without being summed.
     """

@@ -33,7 +33,11 @@ __all__ = [
 
 @dataclass
 class SweepReport:
-    """Per-epsilon table of scalars plus metadata; epsilons strictly decreasing."""
+    """Per-epsilon table of scalars plus metadata; epsilons strictly decreasing.
+
+    `ledgers` maps eps to the energy ledger of each valid member when a
+    solution sweep keeps them; `csv_lines` leaves them out.
+    """
 
     kind: str
     eps: list[float]
@@ -41,6 +45,7 @@ class SweepReport:
     target: float | None = None
     metadata: dict = field(default_factory=dict)
     valid: list[bool] = field(default_factory=list)
+    ledgers: dict[float, EnergyLedger] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not all(a > b for a, b in zip(self.eps, self.eps[1:])):
@@ -276,7 +281,7 @@ def solution_sweep(
         for column, value in zip(cols.values(), values):
             column.append(value)
 
-    report = SweepReport(
+    return SweepReport(
         kind="solution_sweep",
         eps=eps,
         columns=cols,
@@ -293,9 +298,9 @@ def solution_sweep(
             "mass_phi0": float(state0.phi.mean()),
         },
         valid=[state is not None for state in states],
+        ledgers={
+            e: ledger
+            for e, ledger, state in zip(eps, ledgers, states)
+            if ledger is not None and state is not None
+        },
     )
-    if keep_ledgers:
-        report.metadata["ledgers"] = {
-            e: ledger for e, ledger, state in zip(eps, ledgers, states) if state is not None
-        }
-    return report

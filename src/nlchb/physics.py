@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import Grid, centers_to_xfaces, centers_to_yfaces, laplacian_neumann
-from .kernel import KernelGrid, convolve, kernel_norms
+from .kernel import KernelGrid, kernel_norms
 
 __all__ = [
     "PotentialParams",
@@ -125,16 +125,12 @@ def mu_nonlocal(
     a: np.ndarray,
     potential: PotentialParams,
     material: MaterialParams,
-    j_phi: np.ndarray | None = None,
+    j_phi: np.ndarray,
 ) -> np.ndarray:
-    """mu = a phi - J*phi + eta_f F'(phi) + l_c theta (pointwise, no smoothing).
-
-    Convolves phi unless its convolution `j_phi` is passed in.
-    """
+    """mu = a phi - J*phi + eta_f F'(phi) + l_c theta (pointwise, no smoothing),
+    with `j_phi` = J*phi."""
     if phi.shape != kernel.grid.shape or theta.shape != kernel.grid.shape:
         raise ValueError("mu_nonlocal fields must live on the kernel grid")
-    if j_phi is None:
-        j_phi = convolve(kernel, phi)
     return a * phi - j_phi + potential.eta_f * potential.df(phi) + material.l_c * theta
 
 
@@ -244,7 +240,8 @@ def validate_assumptions(
 ) -> ValidationReport:
     """Check the model assumptions numerically and collect fitted constants.
 
-    Never raises on a violated assumption: violations are flagged so limit
+    `a` is a(x) of `kernel` (`compute_a`); both are None in local mode. Never
+    raises on a violated assumption: violations are flagged so limit
     studies can proceed with the physics unmodified.
     """
     lo, hi = float(s_range[0]), float(s_range[1])
@@ -255,9 +252,8 @@ def validate_assumptions(
 
     if kernel is not None:
         norms = kernel_norms(kernel)
-        a_vals = a if a is not None else convolve(kernel, np.ones(kernel.grid.shape))
-        a_min = float(a_vals.min())
-        a_max = float(a_vals.max())
+        a_min = float(a.min())
+        a_max = float(a.max())
         if a_min < 0.0:
             flags.append("a_negative")
     else:

@@ -181,9 +181,17 @@ class TestOracle:
         cfg = write_cfg(tmp_path, ORACLE_CFG)
         assert main(["oracle", cfg]) == 0
 
-    def test_corrupted_kernel_fails(self, tmp_path):
+    def test_corrupted_kernel_fails(self, tmp_path, monkeypatch):
+        raw = nlchb.cli.sample_kernel
+
+        def asymmetric(*args, **kwargs):
+            kernel = raw(*args, **kwargs)
+            kernel.values[1, 2] *= 1.5  # breaks the even symmetry of the sampled kernel
+            return kernel
+
+        monkeypatch.setattr(nlchb.cli, "sample_kernel", asymmetric)
         cfg = write_cfg(tmp_path, ORACLE_CFG)
-        assert main(["oracle", cfg, "--inject-kernel-asymmetry"]) == 1
+        assert main(["oracle", cfg]) == 1
 
     def test_large_grid_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, ORACLE_CFG.replace("nx = 16", "nx = 64").replace("ny = 16", "ny = 64"))
@@ -229,7 +237,7 @@ class TestValidateAndSweeps:
 
         def sweep(*args, **kwargs):
             report = raw(*args, **kwargs)
-            ledgers.update(report.metadata["ledgers"])
+            ledgers.update(report.ledgers)
             return report
 
         monkeypatch.setattr(nlchb.cli, "solution_sweep", sweep)

@@ -6,6 +6,7 @@ import pytest
 from nlchb.energy import (
     EnergyLedger,
     LEDGER_COLUMNS,
+    _viscous_parts,
     dissipation,
     e_local,
     e_nl,
@@ -15,7 +16,7 @@ from nlchb.energy import (
 )
 from nlchb.grid import MacVelocity, NonFiniteError, dct2_inverse, dct2_transform, make_grid
 from nlchb.kernel import calibrate_mollifier, compute_a, convolve, sample_kernel
-from nlchb.physics import MaterialParams, PotentialParams, mu_nonlocal
+from nlchb.physics import MaterialParams, PotentialParams
 from nlchb.snapshots import LedgerCsvWriter
 
 from test_kernel import double_sum_energy
@@ -48,16 +49,8 @@ class TestInterfaceEnergies:
 
     def test_precomputed_convolution(self, setup16):
         grid, kernel, a = setup16
-        rng = np.random.default_rng(4)
-        phi = rng.standard_normal(grid.shape)
-        theta = rng.standard_normal(grid.shape)
-        j_phi = convolve(kernel, phi)
-        assert e_nl(kernel, a, phi, j_phi) == e_nl(kernel, a, phi)
-        pot, mat = PotentialParams(), MaterialParams()
-        assert np.array_equal(
-            mu_nonlocal(phi, theta, kernel, a, pot, mat, j_phi),
-            mu_nonlocal(phi, theta, kernel, a, pot, mat),
-        )
+        phi = np.random.default_rng(4).standard_normal(grid.shape)
+        assert e_nl(kernel, a, phi, convolve(kernel, phi)) == e_nl(kernel, a, phi)
 
     def test_e_local_constant_zero(self):
         grid = make_grid(16, 16, 1.0, 1.0)
@@ -150,14 +143,8 @@ class TestDissipation:
     def test_rest_state_zero(self, setup16):
         grid, _, _ = setup16
         mat = MaterialParams(nu_min=0.5, nu_max=2.0)
-        d = dissipation(
-            grid,
-            np.full(grid.shape, 0.7),
-            np.full(grid.shape, 1.2),
-            MacVelocity(grid),
-            np.full(grid.shape, -0.3),
-            mat,
-        )
+        viscous = _viscous_parts(grid, mat, np.full(grid.shape, 0.7), MacVelocity(grid))
+        d = dissipation(grid, np.full(grid.shape, 1.2), np.full(grid.shape, -0.3), mat, viscous)
         assert d == 0.0
 
     def test_linear_shear_deformation_interior(self):
@@ -186,14 +173,8 @@ class TestDissipation:
             vel = MacVelocity(grid)
             vel.u[1:-1, :] = rng.standard_normal((grid.nx - 1, grid.ny))
             vel.v[:, 1:-1] = rng.standard_normal((grid.nx, grid.ny - 1))
-            d = dissipation(
-                grid,
-                rng.standard_normal(grid.shape),
-                rng.standard_normal(grid.shape),
-                vel,
-                rng.standard_normal(grid.shape),
-                mat,
-            )
+            phi, mu, theta = (rng.standard_normal(grid.shape) for _ in range(3))
+            d = dissipation(grid, mu, theta, mat, _viscous_parts(grid, mat, phi, vel))
             assert d >= 0.0
 
 

@@ -127,7 +127,7 @@ class TestSolutionSweep:
             grid, spinodal_potential(), spinodal_material(), state0,
             [0.25, 0.125], gamma=0.5, t_end=0.02, sample_count=10, keep_ledgers=True,
         )
-        for ledger in report.metadata["ledgers"].values():
+        for ledger in report.ledgers.values():
             mass = ledger.column("mass_phi") / (grid.Lx * grid.Ly)
             assert np.abs(mass - mass0).max() <= 1e-10
 
@@ -301,13 +301,13 @@ class TestStreamedSweep:
             assert bits(report.columns[name]) == bits(cols[name]), name
             assert all(type(v) is float for v in report.columns[name]), name
         if keep_ledgers:
-            kept = md["ledgers"]
+            kept = report.ledgers
             assert list(kept) == eps
             for e in eps:
                 assert len(kept[e].rows) == md["n_steps"]
                 assert kept[e].rows == ledgers[e].rows
         else:
-            assert "ledgers" not in md
+            assert report.ledgers == {}
 
     def test_diverged_member_is_invalid_and_leaves_the_others(self, monkeypatch):
         eps = [0.5, 0.4, 0.3]
@@ -316,11 +316,36 @@ class TestStreamedSweep:
         diverge_after(monkeypatch, 3, "nonlocal", 0.4)
         report = tiny_sweep(eps, **kwargs)
         assert report.valid == [True, False, True]
-        assert list(report.metadata["ledgers"]) == [0.5, 0.3]
+        assert list(report.ledgers) == [0.5, 0.3]
         for name in DIST_COLUMNS:
             col = report.columns[name]
             assert np.isnan(col[1]), name
             assert bits([col[0], col[2]]) == bits([clean.columns[name][0], clean.columns[name][2]])
+
+    def test_kept_ledgers_stay_out_of_the_csv(self):
+        kwargs = dict(dt=1e-3, t_end=1e-2, sample_count=4)
+        kept = tiny_sweep([0.5, 0.4], keep_ledgers=True, **kwargs)
+        assert [len(ledger.rows) for ledger in kept.ledgers.values()] == [10, 10]
+        assert kept.csv_lines() == tiny_sweep([0.5, 0.4], **kwargs).csv_lines()
+
+    def test_start_state_from_another_model_changes_no_bit(self):
+        # the start state ends a ledgered run at another eps; the sweep's
+        # models must not step it from that run's terms
+        grid = sweep_grid()
+        other = Model.build(
+            grid, spinodal_potential(), spinodal_material(), mode="nonlocal", epsilon=0.3,
+            gamma=0.5,
+        )
+        start = integrate(other, spinodal_state(grid), 1e-3, 5e-3, ledger=EnergyLedger())
+        kwargs = dict(dt=1e-3, t_end=6e-3, sample_count=3)
+        report = solution_sweep(
+            grid, spinodal_potential(), spinodal_material(), start, [0.5, 0.4], **kwargs
+        )
+        fresh = solution_sweep(
+            grid, spinodal_potential(), spinodal_material(), start.copy(), [0.5, 0.4], **kwargs
+        )
+        for name in DIST_COLUMNS:
+            assert bits(report.columns[name]) == bits(fresh.columns[name]), name
 
     def test_diverged_reference_aborts(self, monkeypatch):
         diverge_after(monkeypatch, 2, "local")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nlchb.grid import make_grid
-from nlchb.kernel import calibrate_mollifier, compute_a, convolve_direct, sample_kernel
+from nlchb.kernel import calibrate_mollifier, compute_a, convolve, convolve_direct, sample_kernel
 from nlchb.physics import (
     MaterialParams,
     PotentialParams,
@@ -137,19 +137,23 @@ class TestChemicalPotentials:
     def test_nonlocal_constant_state_is_constant(self):
         c = 0.37
         phi = np.full(self.grid.shape, c)
-        mu = mu_nonlocal(phi, np.zeros(self.grid.shape), self.kernel, self.a, self.pot, self.mat)
+        theta = np.zeros(self.grid.shape)
+        j_phi = convolve(self.kernel, phi)
+        mu = mu_nonlocal(phi, theta, self.kernel, self.a, self.pot, self.mat, j_phi)
         expected = self.pot.eta_f * self.pot.df(c)
         assert np.abs(mu - expected).max() <= 1e-12 * max(1.0, abs(expected))
 
     def test_nonlocal_zero_phi_uniform_theta(self):
         t0 = 1.3
+        phi = np.zeros(self.grid.shape)
         mu = mu_nonlocal(
-            np.zeros(self.grid.shape),
+            phi,
             np.full(self.grid.shape, t0),
             self.kernel,
             self.a,
             self.pot,
             self.mat,
+            convolve(self.kernel, phi),
         )
         expected = self.pot.eta_f * self.pot.df(0.0) + self.mat.l_c * t0
         assert np.abs(mu - expected).max() <= 1e-12 * abs(expected)
@@ -158,7 +162,8 @@ class TestChemicalPotentials:
         rng = np.random.default_rng(1)
         phi = rng.standard_normal(self.grid.shape)
         theta = rng.standard_normal(self.grid.shape)
-        mu = mu_nonlocal(phi, theta, self.kernel, self.a, self.pot, self.mat)
+        j_phi = convolve(self.kernel, phi)
+        mu = mu_nonlocal(phi, theta, self.kernel, self.a, self.pot, self.mat, j_phi)
         oracle = (
             self.a * phi
             - convolve_direct(self.kernel, phi)

@@ -15,14 +15,16 @@ from conftest import (
 import nlchb.energy
 import nlchb.kernel
 import nlchb.physics
-from nlchb.energy import EnergyLedger
+from nlchb.energy import EnergyLedger, e_local, e_nl, total_energy
 from nlchb.grid import MacVelocity, NonFiniteError, make_grid
-from nlchb.physics import MaterialParams, PotentialParams
+from nlchb.kernel import convolve
+from nlchb.physics import MaterialParams, PotentialParams, mu_local, mu_nonlocal
 from nlchb.solver import (
     BlowUpError,
     Forcing,
     Model,
     SimState,
+    _terms,
     advance,
     integrate,
     momentum_advection,
@@ -371,28 +373,40 @@ class TestSharedChemicalPotential:
     dt = 5e-4
     steps = 4
 
-    def test_ledger_does_not_change_states(self, grid32, mode):
+    def test_ledger_does_not_change_states(self, grid32, mode, monkeypatch):
         model, state0, forcing = coupled_flow_setup(grid32, mode)
         plain, kept = state0, state0.copy()
         ledger = EnergyLedger()
         assert plain.vel.max_speed() > 0.0
+        energies = count_calls(monkeypatch, nlchb.energy.total_energy)
         for _ in range(self.steps):
             plain = advance(model, plain, self.dt, forcing)
-            assert plain.energy is None
             kept = advance(model, kept, self.dt, forcing, ledger=ledger)
             assert_same_state(plain, kept)
         assert len(ledger.rows) == self.steps
+        # every E is the ledgered run's: its start state's and one per step
+        assert len(energies) == self.steps + 1
 
     def test_ledger_energies_match_model(self, grid32, mode):
         model, state, forcing = coupled_flow_setup(grid32, mode)
+        g, pot, mat = grid32, model.potential, model.material
         ledger = EnergyLedger()
         for _ in range(self.steps):
             state = advance(model, state, self.dt, forcing, ledger=ledger)
             row = ledger.rows[-1]
-            assert row["E_interface"] == model.mu_and_interface(state.phi, state.theta)[1]
-            assert row["E_total"] == model.total_energy(state)
-            assert state.energy == row["E_total"]
-            assert np.array_equal(state.mu, model.chemical_potential(state.phi, state.theta))
+            phi, theta = state.phi, state.theta
+            if mode == "nonlocal":
+                interface = e_nl(model.kernel, model.a, phi)
+                j_phi = convolve(model.kernel, phi)
+                mu = mu_nonlocal(phi, theta, model.kernel, model.a, pot, mat, j_phi)
+            else:
+                interface = e_local(g, phi)
+                mu = mu_local(g, phi, theta, pot, mat)
+            energy = total_energy(g, phi, theta, state.vel, mode, pot, mat, model.kernel, model.a)
+            assert row["E_interface"] == interface
+            assert row["E_total"] == energy
+            assert model.total_energy(state) == row["E_total"]
+            assert np.array_equal(_terms(model, state).mu, mu)
 
     def test_ledger_energy_parts_match_their_formulas(self, grid32, mode):
         # F_integral, kinetic and thermal share the integrals of E_total
@@ -412,14 +426,14 @@ class TestSharedChemicalPotential:
         model, state, forcing = coupled_flow_setup(grid32, mode)
         ledger = EnergyLedger()
         state = advance(model, state, self.dt, forcing, ledger=ledger)
-        assert state.mu is not None
-        resumed = state.copy()
-        resumed.mu = None
+        resumed, resumed_ledger = state.copy(), EnergyLedger()
+        ledger.rows.clear()
         for _ in range(self.steps):
             state = advance(model, state, self.dt, forcing, ledger=ledger)
-            resumed = advance(model, resumed, self.dt, forcing, ledger=EnergyLedger())
+            resumed = advance(model, resumed, self.dt, forcing, ledger=resumed_ledger)
             assert_same_state(state, resumed)
-            assert np.array_equal(state.mu, resumed.mu)
+            assert np.array_equal(_terms(model, state).mu, _terms(model, resumed).mu)
+        assert resumed_ledger.rows == ledger.rows
 
     def test_one_convolution_per_ledgered_step(self, grid32, mode, monkeypatch):
         model, state, forcing = coupled_flow_setup(grid32, mode)
@@ -430,8 +444,7 @@ class TestSharedChemicalPotential:
             state = advance(model, state, self.dt, forcing, ledger=ledger)
             assert len(calls) == (k if mode == "nonlocal" else 0)
         # a state without mu costs one more convolution, in its step_ch
-        state.mu = None
-        advance(model, state, self.dt, forcing, ledger=ledger)
+        advance(model, state.copy(), self.dt, forcing, ledger=ledger)
         assert len(calls) == (self.steps + 1 if mode == "nonlocal" else 0)
 
 
@@ -444,20 +457,35 @@ class TestCarriedTerms:
     dt = 5e-4
     steps = 4
 
-    def test_copies_drop_carried_terms_and_change_no_bit(self, grid32, mode):
+    def test_copies_drop_carried_terms_and_change_no_bit(self, grid32, mode, monkeypatch):
         model, state0, forcing = coupled_flow_setup(grid32, mode)
         carried, carried_ledger = state0, EnergyLedger()
         fresh, fresh_ledger = state0, EnergyLedger()
+        counted = {
+            "convolve": count_calls(monkeypatch, nlchb.kernel.convolve),
+            "mac_deformation": count_calls(monkeypatch, nlchb.energy.mac_deformation),
+        }
         for _ in range(self.steps):
             carried = advance(model, carried, self.dt, forcing, ledger=carried_ledger)
-            fresh = fresh.copy()
-            assert all(
-                x is None for x in (fresh.mu, fresh.energy, fresh.viscous, fresh.g_dot_u, fresh.max_u)
-            )
-            fresh = advance(model, fresh, self.dt, forcing, ledger=fresh_ledger)
+            fresh = advance(model, fresh.copy(), self.dt, forcing, ledger=fresh_ledger)
             assert_same_state(carried, fresh)
-            assert carried.viscous is not None and carried.g_dot_u is not None
         assert carried_ledger.rows == fresh_ledger.rows
+        # the carried run computes each term once per state; each copy computes
+        # its start state's terms again
+        for name, calls in counted.items():
+            expected = 0 if name == "convolve" and mode == "local" else 3 * self.steps + 1
+            assert len(calls) == expected, name
+
+    def test_reassigned_fields_are_read_afresh(self, grid32, mode):
+        model, state, forcing = coupled_flow_setup(grid32, mode)
+        other = advance(model, state, self.dt, forcing)
+        advance(model, state, self.dt, forcing, ledger=EnergyLedger())  # fills state's terms
+        state.phi, state.theta, state.vel = other.phi, other.theta, other.vel
+        fresh = SimState(t=state.t, step=state.step, phi=other.phi, theta=other.theta, vel=other.vel)
+        ledger, fresh_ledger = EnergyLedger(), EnergyLedger()
+        stepped = advance(model, state, self.dt, forcing, ledger=ledger)
+        assert_same_state(stepped, advance(model, fresh, self.dt, forcing, ledger=fresh_ledger))
+        assert ledger.rows == fresh_ledger.rows
 
     def test_each_state_term_computed_once_per_ledgered_step(self, grid32, mode, monkeypatch):
         model, state, forcing = coupled_flow_setup(grid32, mode)
@@ -495,7 +523,20 @@ class TestIntegrate:
         end = integrate(model, state, 1e-3, steps * 1e-3, ledger=EnergyLedger())
         assert end.step == steps
         assert len(calls) == steps + 1
-        assert state.mu is None  # the caller's state is not mutated
+        # the caller's state kept no terms of the run: a second run pays the same
+        integrate(model, state, 1e-3, steps * 1e-3, ledger=EnergyLedger())
+        assert len(calls) == 2 * (steps + 1)
+
+    def test_start_state_from_another_model_changes_no_bit(self, grid32):
+        # the start state ends a ledgered run of another model; this run must
+        # not step it from that run's terms
+        other, model = build_model(grid32, eps=0.25), build_model(grid32, eps=0.2)
+        start = integrate(other, spinodal_state(grid32), 1e-3, 3e-3, ledger=EnergyLedger())
+        ledger, fresh_ledger = EnergyLedger(), EnergyLedger()
+        end = integrate(model, start, 1e-3, 7e-3, ledger=ledger)
+        fresh = integrate(model, start.copy(), 1e-3, 7e-3, ledger=fresh_ledger)
+        assert_same_state(end, fresh)
+        assert ledger.rows == fresh_ledger.rows
 
     def test_ledgered_run_matches_advance_loop(self, grid32):
         model, state, forcing = coupled_flow_setup(grid32, "nonlocal")
@@ -548,7 +589,7 @@ class TestEnergyDecay:
         for _ in range(50):
             phi_next, _ = step_ch(model, state, 1e-3)
             state.phi = phi_next
-            e = model.mu_and_interface(state.phi, state.theta)[1] + 2.0 * model.potential.eta_f * float(
+            e = e_nl(model.kernel, model.a, state.phi) + 2.0 * model.potential.eta_f * float(
                 np.sum(model.potential.f(state.phi)) * grid32.cell_area
             )
             if prev is not None:

@@ -251,11 +251,13 @@ def test_max_speed_once_per_step(grid32, monkeypatch, ledgered):
     forcing = Forcing(z=np.full(grid32.shape, 0.1))
     ledger = EnergyLedger() if ledgered else None
     state = advance(model, smooth_flow_state(grid32), 5e-4, forcing, ledger)
-    assert state.max_u == state.vel.max_speed() > 0.0
+    assert state.vel.max_speed() > 0.0
     calls = count_max_speed(monkeypatch)
     for k in range(1, 4):
+        previous = state
         state = advance(model, state, 5e-4, forcing, ledger)
         assert len(calls) == k
-        assert calls[-1] is state.vel
+        # read by the ledger row of the new state, else by the step from the old one
+        assert calls[-1] is (state.vel if ledgered else previous.vel)
     if ledgered:
-        assert ledger.rows[-1]["max_u"] == state.max_u
+        assert ledger.rows[-1]["max_u"] == state.vel.max_speed()
