@@ -3,8 +3,9 @@
 Environment override: NLCHB_OUTPUT_DIR replaces the configured output
 directory.
 
-Exit codes: 0 success, 1 usage/config/check failure, 2 solver blow-up (with a
-diagnostic snapshot and flushed ledger on disk).
+Exit codes: 0 success, 1 usage/config/check failure, 2 a solver blow-up or an
+invariant violation (both with a diagnostic snapshot and flushed ledger on
+disk), or a diverged sweep-eps reference run.
 """
 
 from __future__ import annotations
@@ -96,13 +97,11 @@ def _run_loop(
             config.t_end,
             forcing,
             ledger,
-            check_invariants=config.check_invariants,
             on_step=on_step,
         )
     except BlowUpError as exc:
-        print(f"blow-up at t={exc.state.t:.6g} (step {exc.state.step}): {exc}", file=sys.stderr)
         _save(config, os.path.join(outdir, "blowup.bin"), exc.state, dt)
-        return 2
+        raise
     finally:
         if csv is not None:
             csv.close()
@@ -115,12 +114,8 @@ def _run_loop(
 def cmd_run(config_path: str) -> int:
     config = _load_config(config_path)
     outdir = _output_dir(config)
-    for w in config.warnings:
-        print(f"warning: {w}", file=sys.stderr)
-
     model = config.build_model()
-    report = validate_assumptions(model.kernel, model.a, config.potential, config.material)
-    lines = report.lines()
+    lines = validate_assumptions(model.kernel, model.a, config.potential, config.material).lines()
     print("\n".join(lines))
     with open(os.path.join(outdir, "validation.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -166,8 +161,6 @@ def cmd_validate(config_path: str) -> int:
     model = config.build_model()
     report = validate_assumptions(model.kernel, model.a, config.potential, config.material)
     print("\n".join(report.lines()))
-    for w in config.warnings:
-        print(f"warning: {w}")
     return 0
 
 
@@ -346,6 +339,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 1
+    except BlowUpError as exc:
+        print(f"blow-up at t={exc.state.t:.6g} (step {exc.state.step}): {exc}", file=sys.stderr)
+        return 2
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,7 +11,7 @@ is a valid configuration.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,7 +66,6 @@ SCHEMA: dict[str, dict[str, tuple[str, str]]] = {
         "stabilization": ("auto", "float_or_auto"),
         "safety": ("0.4", "float"),
         "cadence": ("50", "int"),
-        "check_invariants": ("false", "bool"),
     },
     "initial": {
         "phi_preset": ("spinodal", "choice:spinodal,constant,random,file"),
@@ -149,12 +148,10 @@ class RunConfig:
     stabilization: float | None
     safety: float
     cadence: int
-    check_invariants: bool
     initial: dict
     forcing_spec: dict
     output: dict
     seed: int
-    warnings: list[str] = field(default_factory=list)
     raw_text: str = ""
     base_dir: str = "."
 
@@ -283,8 +280,6 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
                 errors.append(f"[{section}] {key}: {exc}")
                 parsed[section][key] = _convert(kind, default)
 
-    warnings: list[str] = []
-
     grid = None
     try:
         gp = parsed["grid"]
@@ -327,11 +322,6 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
             )
         if k["epsilon"] <= 0.0:
             errors.append(f"[kernel] epsilon: must be positive, got {k['epsilon']}")
-        elif grid is not None and k["epsilon"] < 2.0 * max(grid.dx, grid.dy):
-            warnings.append(
-                f"kernel epsilon {k['epsilon']} spans fewer than two cells; "
-                "sampled kernel will be under-resolved"
-            )
 
     s = parsed["solver"]
     if s["dt"] is not None and s["dt"] <= 0.0:
@@ -375,12 +365,10 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         stabilization=s["stabilization"],
         safety=s["safety"],
         cadence=s["cadence"],
-        check_invariants=s["check_invariants"],
         initial=parsed["initial"],
         forcing_spec=parsed["forcing"],
         output=parsed["output"],
         seed=parsed["run"]["seed"],
-        warnings=warnings,
         raw_text=text,
         base_dir=base_dir,
     )

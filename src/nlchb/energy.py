@@ -120,38 +120,17 @@ def _energy_integrals(
 
 
 def total_energy(
-    grid: Grid,
-    phi: np.ndarray,
-    theta: np.ndarray,
-    vel: MacVelocity,
     mode: str,
-    potential: PotentialParams,
     material: MaterialParams,
-    kernel: KernelGrid | None = None,
-    a: np.ndarray | None = None,
-    interface: float | None = None,
-    integrals: tuple[float, float, float] | None = None,
+    interface: float,
+    integrals: tuple[float, float, float],
 ) -> float:
     """Total energy E of the coupled state (see module docstring for the display).
 
-    `interface` is the already computed interface energy of phi (e_nl or
-    e_local by mode) and `integrals` the state's `_energy_integrals`; when
-    None they are computed here.
+    `interface` is the state's interface energy (e_nl in nonlocal mode, else
+    e_local) and `integrals` its `_energy_integrals`.
     """
-    if mode == "nonlocal":
-        if interface is None:
-            if kernel is None or a is None:
-                raise ValueError("nonlocal total energy requires the kernel and a(x)")
-            interface = e_nl(kernel, a, phi)
-        f_weight = 2.0
-    elif mode == "local":
-        if interface is None:
-            interface = e_local(grid, phi)
-        f_weight = 1.0
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    if integrals is None:
-        integrals = _energy_integrals(grid, phi, theta, vel, potential)
+    f_weight = 2.0 if mode == "nonlocal" else 1.0
     f_int, u_sq, theta_sq = integrals
     two_e = (
         (interface + f_weight * f_int) / material.l_c

@@ -238,7 +238,7 @@ def solution_sweep(
         try:
             ref = integrate(ref_model, ref, dt, t)
         except BlowUpError as exc:
-            raise RuntimeError("local reference run diverged; sweep aborted") from exc
+            raise BlowUpError("local reference run diverged; sweep aborted", exc.state) from exc
         for k, state in enumerate(states):
             if state is not None:
                 try:

@@ -66,6 +66,7 @@ from .physics import (
 
 __all__ = [
     "BlowUpError",
+    "InvariantError",
     "SimState",
     "Model",
     "Forcing",
@@ -79,6 +80,7 @@ __all__ = [
 ]
 
 SUGGEST_DT_CAP = 1.0
+INVARIANT_TOL = 1e-10
 
 
 class BlowUpError(RuntimeError):
@@ -87,6 +89,10 @@ class BlowUpError(RuntimeError):
     def __init__(self, message: str, state: "SimState"):
         super().__init__(message)
         self.state = state
+
+
+class InvariantError(BlowUpError):
+    """A ledgered step broke mass or incompressibility; carries its start state."""
 
 
 @dataclass
@@ -248,9 +254,7 @@ class _Terms:
 
     @functools.cached_property
     def energy(self) -> float:
-        m = self.model
-        return total_energy(m.grid, self.phi, self.theta, self.vel, m.mode, m.potential,
-                            m.material, m.kernel, m.a, self.interface, self.integrals)
+        return total_energy(self.model.mode, self.model.material, self.interface, self.integrals)
 
     @functools.cached_property
     def viscous(self) -> tuple:
@@ -353,17 +357,13 @@ def _sine_denominators(grid: Grid, alpha: float, nu: float) -> tuple[np.ndarray,
     return den_u, den_v
 
 
-def _implicit_u_solve(grid: Grid, alpha: float, nu: float, rhs_int: np.ndarray) -> np.ndarray:
-    """(alpha - nu Delta) on interior x-faces: sine-I in x, sine-II in y."""
-    chat = _fft.dst(_fft.dst(rhs_int, type=1, axis=0), type=2, axis=1)
-    chat /= _sine_denominators(grid, alpha, nu)[0]
-    return _fft.idst(_fft.idst(chat, type=2, axis=1), type=1, axis=0)
-
-
-def _implicit_v_solve(grid: Grid, alpha: float, nu: float, rhs_int: np.ndarray) -> np.ndarray:
-    chat = _fft.dst(_fft.dst(rhs_int, type=2, axis=0), type=1, axis=1)
-    chat /= _sine_denominators(grid, alpha, nu)[1]
-    return _fft.idst(_fft.idst(chat, type=2, axis=0), type=1, axis=1)
+def _implicit_solve(den: np.ndarray, sine1_axis: int, rhs_int: np.ndarray) -> np.ndarray:
+    """(alpha - nu Delta) on one face set, `den` its `_sine_denominators` entry: sine-I
+    along `sine1_axis`, sine-II along the other, which the inverse transforms first."""
+    types = (1, 2) if sine1_axis == 0 else (2, 1)
+    chat = _fft.dst(_fft.dst(rhs_int, type=types[0], axis=0), type=types[1], axis=1)
+    chat /= den
+    return _fft.idst(_fft.idst(chat, type=2, axis=1 - sine1_axis), type=1, axis=sine1_axis)
 
 
 def momentum_advection(grid: Grid, vel: MacVelocity) -> tuple[np.ndarray, np.ndarray]:
@@ -507,9 +507,10 @@ def step_ns(
         rhs.v[:, 1:-1] += q[1][:, 1:-1]
 
     rhs = project(g, rhs)
+    den_u, den_v = _sine_denominators(g, 1.0 / dt, mat.nu_bar)
     out = MacVelocity(g)
-    out.u[1:-1, :] = _implicit_u_solve(g, 1.0 / dt, mat.nu_bar, rhs.u[1:-1, :])
-    out.v[:, 1:-1] = _implicit_v_solve(g, 1.0 / dt, mat.nu_bar, rhs.v[:, 1:-1])
+    out.u[1:-1, :] = _implicit_solve(den_u, 0, rhs.u[1:-1, :])
+    out.v[:, 1:-1] = _implicit_solve(den_v, 1, rhs.v[:, 1:-1])
     out = project(g, out)
     if not out.is_finite():
         raise BlowUpError("velocity step produced non-finite values", state)
@@ -589,12 +590,12 @@ def advance(
     dt: float,
     forcing: Forcing | None = None,
     ledger: EnergyLedger | None = None,
-    check_invariants: bool = False,
 ) -> SimState:
     """One full step (phi -> theta -> velocity); returns the new state.
 
     With a ledger, the row reads the terms of `state` and of the new state
-    from their memos under `model`.
+    from their memos under `model`; a row that breaks an invariant raises
+    `InvariantError` instead of being appended.
     """
     forcing = forcing or Forcing()
     t_next = state.t + dt
@@ -615,17 +616,15 @@ def advance(
         t=t_next, step=state.step + 1, phi=phi_next, theta=theta_next, vel=vel_next
     )
 
-    if check_invariants:
-        drift = abs(float(phi_next.mean()) - float(state.phi.mean()))
-        if drift > 1e-10:
-            raise RuntimeError(f"mass conservation violated: drift {drift:.3e}")
-        max_div = float(np.abs(vel_next.divergence()).max())
-        if max_div > 1e-10:
-            raise RuntimeError(f"incompressibility violated: max |div u| = {max_div:.3e}")
-
     if ledger is not None:
         try:
-            ledger.append(_ledger_row(model, state, state_next, dt, forcing, buoy))
+            row = _ledger_row(model, state, state_next, dt, forcing, buoy)
+            mass_change = abs(row["mass_phi"] - float(state.phi.sum() * g.cell_area))
+            # `>` lets a NaN row through to append's non-finite blow-up
+            if mass_change > INVARIANT_TOL or row["max_div_u"] > INVARIANT_TOL:
+                raise InvariantError(f"invariant broken: mass change {mass_change:.3e}, max div u "
+                                     f"{row['max_div_u']:.3e}, bound {INVARIANT_TOL:g}", state)
+            ledger.append(row)
         except NonFiniteError as exc:
             raise BlowUpError(f"step diverged: {exc}", state) from exc
     return state_next
@@ -638,7 +637,6 @@ def integrate(
     t_end: float,
     forcing: Forcing | None = None,
     ledger: EnergyLedger | None = None,
-    check_invariants: bool = False,
     on_step=None,
 ) -> SimState:
     """Advance with fixed dt while t < t_end - dt/2; returns the last state.
@@ -653,7 +651,7 @@ def integrate(
     if state.t < t_end - 0.5 * dt:
         state = copy.copy(state)
     while state.t < t_end - 0.5 * dt:
-        state = advance(model, state, dt, forcing, ledger, check_invariants)
+        state = advance(model, state, dt, forcing, ledger)
         if on_step is not None:
             on_step(state)
     return state

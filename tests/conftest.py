@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from nlchb.energy import _energy_integrals, e_local, e_nl, total_energy
 from nlchb.grid import MacVelocity, make_grid
 from nlchb.physics import MaterialParams, PotentialParams
 from nlchb.solver import SimState
@@ -65,6 +66,15 @@ def smooth_flow_state(grid):
     vel.v[:, :] = -amp * 2.0 * np.pi * np.sin(np.pi * xc) * np.cos(np.pi * xc) * np.sin(np.pi * yf) ** 2
     vel.enforce_boundary()
     return SimState(t=0.0, step=0, phi=phi, theta=theta, vel=project(grid, vel))
+
+
+def fields_energy(grid, phi, theta, vel, mode, potential, material, kernel=None, a=None):
+    """E of the fields through `total_energy`, from e_nl (nonlocal) or e_local
+    and `_energy_integrals` computed afresh: the reference a state's memo is
+    checked against."""
+    interface = e_nl(kernel, a, phi) if mode == "nonlocal" else e_local(grid, phi)
+    integrals = _energy_integrals(grid, phi, theta, vel, potential)
+    return total_energy(mode, material, interface, integrals)
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,7 @@
 """End-to-end CLI tests: run, resume determinism, oracle, sweeps, validation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,9 @@ import nlchb.cli
 from nlchb.cli import main
 from nlchb.energy import LEDGER_COLUMNS
 from nlchb.snapshots import LedgerCsvWriter, read_snapshot
+
+from test_limits import diverge_after
+from test_solver import break_from, leak_divergence
 
 FAST_RUN = """
 [grid]
@@ -97,6 +102,30 @@ class TestRun:
         assert rc == 2
         assert (tmp_path / "out" / "blowup.bin").exists()
         assert (tmp_path / "out" / "ledger.csv").exists()
+
+    def test_invariant_violation_exits_2_without_the_bad_row(self, tmp_path, monkeypatch):
+        # from step 7 on the velocity step leaves divergence behind
+        break_from(monkeypatch, "step_ns", 7, leak_divergence)
+        cfg = write_cfg(tmp_path, FAST_RUN)
+        assert main(["run", cfg]) == 2
+        out = tmp_path / "out"
+        state, _ = read_snapshot(str(out / "blowup.bin"))
+        assert state.step == 7
+        lines = (out / "ledger.csv").read_text().splitlines()
+        assert len(lines) == 1 + 7
+        div_col = lines[0].split(",").index("max_div_u")
+        assert max(float(line.split(",")[div_col]) for line in lines[1:]) <= 1e-10
+        assert not (out / "checkpoint.bin").exists()
+
+    def test_one_under_resolution_warning(self, tmp_path, capsys):
+        # epsilon 0.1 spans fewer than two 1/16 cells; only the kernel says so
+        text = FAST_RUN.replace("epsilon = 0.3", "epsilon = 0.1")
+        cfg = write_cfg(tmp_path, text.replace("t_end = 2e-2", "t_end = 2e-3"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", cfg]) == 0
+        messages = [str(w.message) for w in caught] + capsys.readouterr().err.splitlines()
+        assert sum("fewer than two cells" in m for m in messages) == 1
 
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path, FAST_RUN)
@@ -228,6 +257,15 @@ class TestValidateAndSweeps:
         for row in rows:
             for cell in row:
                 float(cell)
+
+    def test_sweep_eps_diverged_reference_exits_2(self, tmp_path, monkeypatch, capsys):
+        diverge_after(monkeypatch, 2, "local")
+        cfg = write_cfg(tmp_path, FAST_RUN.replace("t_end = 2e-2", "t_end = 5e-3"))
+        capsys.readouterr()
+        assert main(["sweep-eps", cfg, "--eps", "0.4,0.2"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "local reference run diverged" in err[0]
+        assert not (tmp_path / "out" / "sweep_eps.csv").exists()
 
     def test_sweep_eps_ledgers_written_by_ledger_csv_writer(self, tmp_path, monkeypatch):
         # each member's ledger.csv holds the same bytes LedgerCsvWriter writes

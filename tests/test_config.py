@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nlchb.config import ConfigError, DEFAULT_CONFIG_TEXT, parse_config
+from nlchb.kernel import KernelResolutionWarning
 
 
 class TestDefaults:
@@ -81,9 +82,10 @@ class TestErrors:
 
 class TestWarnings:
     def test_under_resolved_epsilon_warns_not_errors(self):
+        # the config parses; sampling the kernel is what warns
         cfg = parse_config("[grid]\nnx = 8\nny = 8\n[kernel]\nepsilon = 0.1\n")
-        assert cfg.warnings
-        assert "under-resolved" in cfg.warnings[0]
+        with pytest.warns(KernelResolutionWarning, match="fewer than two cells"):
+            cfg.build_model()
 
 
 class TestShippedConfigs:

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from conftest import fields_energy
 from nlchb.energy import (
     EnergyLedger,
     LEDGER_COLUMNS,
+    _energy_integrals,
     _viscous_parts,
     dissipation,
     e_local,
@@ -76,7 +78,7 @@ class TestTotalEnergy:
     def test_zero_state_unit_quartic(self, setup16):
         grid, kernel, a = setup16
         mat = MaterialParams(l_c=0.5)
-        e = total_energy(
+        e = fields_energy(
             grid,
             grid.zeros(),
             grid.zeros(),
@@ -96,21 +98,8 @@ class TestTotalEnergy:
         vel = MacVelocity(grid)
         vel.u[1:-1, :] = 1.5
         pot = PotentialParams(coeffs=(0.0, 0.0, 0.0, 0.0, 1.0))  # F(0) = 0
-        e = total_energy(grid, grid.zeros(), grid.zeros(), vel, "nonlocal", pot, mat, kernel, a)
+        e = fields_energy(grid, grid.zeros(), grid.zeros(), vel, "nonlocal", pot, mat, kernel, a)
         assert e == pytest.approx(mac_l2_sq(grid, vel) / (2.0 * mat.K_cap * mat.l_c), rel=1e-12)
-
-    def test_missing_kernel_rejected(self):
-        grid = make_grid(16, 16, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            total_energy(
-                grid,
-                grid.zeros(),
-                grid.zeros(),
-                MacVelocity(grid),
-                "nonlocal",
-                PotentialParams(),
-                MaterialParams(),
-            )
 
     @pytest.mark.parametrize("mode", ["nonlocal", "local"])
     def test_precomputed_interface_term(self, setup16, mode):
@@ -120,10 +109,18 @@ class TestTotalEnergy:
         theta = rng.standard_normal(grid.shape)
         vel = MacVelocity(grid)
         vel.u[1:-1, :] = rng.standard_normal((grid.nx - 1, grid.ny))
-        args = (mode, PotentialParams(), MaterialParams(l_c=0.5), kernel, a)
+        pot, mat = PotentialParams(), MaterialParams(K_cap=0.3, l_c=0.5, l_h=0.7)
         interface = e_nl(kernel, a, phi) if mode == "nonlocal" else e_local(grid, phi)
-        given = total_energy(grid, phi, theta, vel, *args, interface=interface)
-        assert given == total_energy(grid, phi, theta, vel, *args)
+        given = total_energy(mode, mat, interface, _energy_integrals(grid, phi, theta, vel, pot))
+        # the displayed E, term by term; the bulk weight is 2 in nonlocal mode only
+        f_weight = 2.0 if mode == "nonlocal" else 1.0
+        bulk = pot.eta_f * float(np.sum(pot.f(phi)) * grid.cell_area)
+        display = 0.5 * (
+            (interface + f_weight * bulk) / mat.l_c
+            + mac_l2_sq(grid, vel) / (mat.K_cap * mat.l_c)
+            + float(np.sum(theta**2) * grid.cell_area) / mat.l_h
+        )
+        assert given == pytest.approx(display, rel=1e-14)
 
     def test_transform_round_trip_invariance(self, setup16):
         grid, kernel, a = setup16
@@ -132,10 +129,10 @@ class TestTotalEnergy:
         theta = rng.standard_normal(grid.shape)
         vel = MacVelocity(grid)
         args = ("nonlocal", PotentialParams(), MaterialParams(), kernel, a)
-        e1 = total_energy(grid, phi, theta, vel, *args)
+        e1 = fields_energy(grid, phi, theta, vel, *args)
         phi_rt = dct2_inverse(dct2_transform(phi))
         theta_rt = dct2_inverse(dct2_transform(theta))
-        e2 = total_energy(grid, phi_rt, theta_rt, vel, *args)
+        e2 = fields_energy(grid, phi_rt, theta_rt, vel, *args)
         assert abs(e1 - e2) <= 1e-12 * abs(e1)
 
 

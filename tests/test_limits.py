@@ -5,10 +5,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import count_calls, spinodal_material, spinodal_potential, spinodal_state
+from conftest import (
+    count_calls,
+    fields_energy,
+    spinodal_material,
+    spinodal_potential,
+    spinodal_state,
+)
 import nlchb.kernel
 import nlchb.solver
-from nlchb.energy import EnergyLedger, total_energy
+from nlchb.energy import EnergyLedger
 from nlchb.grid import make_grid
 from nlchb.limits import SweepReport, gamma_sweep, solution_sweep, weak_operator_check
 from nlchb.solver import BlowUpError, Model, integrate, suggest_dt
@@ -207,7 +213,7 @@ def keep_all_samples_sweep(grid, state0, eps, t_end, sample_count, dt=None, keep
         return samples, end, ledger
 
     ref_samples, ref, _ = run(build("local", eps[0]))
-    e_ref_local = total_energy(grid, ref.phi, ref.theta, ref.vel, "local", potential, material)
+    e_ref_local = fields_energy(grid, ref.phi, ref.theta, ref.vel, "local", potential, material)
     w = np.full(len(ref_samples), sample_every * dt)
     w[0] *= 0.5
     w[-1] *= 0.5
@@ -223,7 +229,7 @@ def keep_all_samples_sweep(grid, state0, eps, t_end, sample_count, dt=None, keep
             du += wi * (
                 float(np.sum((sa[2] - sb[2]) ** 2)) + float(np.sum((sa[3] - sb[3]) ** 2))
             ) * area
-        e_local_fn = total_energy(grid, st.phi, st.theta, st.vel, "local", potential, material)
+        e_local_fn = fields_energy(grid, st.phi, st.theta, st.vel, "local", potential, material)
         cols["dist_phi"].append(np.sqrt(dp))
         cols["dist_theta"].append(np.sqrt(dth))
         cols["dist_u"].append(np.sqrt(du))
@@ -349,8 +355,11 @@ class TestStreamedSweep:
 
     def test_diverged_reference_aborts(self, monkeypatch):
         diverge_after(monkeypatch, 2, "local")
-        with pytest.raises(RuntimeError, match="local reference run diverged"):
+        with pytest.raises(RuntimeError, match="local reference run diverged") as info:
             tiny_sweep([0.5, 0.3], dt=1e-3, t_end=1e-2, sample_count=4)
+        # a typed blow-up carrying the reference's last state
+        assert isinstance(info.value, BlowUpError)
+        assert info.value.state.step == 2
 
     def test_memory_does_not_grow_with_samples(self):
         # 40 steps: two samples or one per step must peak within one state

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     count_calls,
+    fields_energy,
     smooth_flow_state,
     spinodal_material,
     spinodal_potential,
@@ -15,13 +16,15 @@ from conftest import (
 import nlchb.energy
 import nlchb.kernel
 import nlchb.physics
-from nlchb.energy import EnergyLedger, e_local, e_nl, total_energy
+import nlchb.solver
+from nlchb.energy import EnergyLedger, e_local, e_nl
 from nlchb.grid import MacVelocity, NonFiniteError, make_grid
 from nlchb.kernel import convolve
 from nlchb.physics import MaterialParams, PotentialParams, mu_local, mu_nonlocal
 from nlchb.solver import (
     BlowUpError,
     Forcing,
+    InvariantError,
     Model,
     SimState,
     _terms,
@@ -302,10 +305,14 @@ class TestAdvance:
         assert np.all(np.diff(ledger.column("t")) > 0)
 
     def test_invariant_checks_accept_healthy_steps(self, grid32):
+        # every ledgered step is checked; healthy ones keep all their rows
         model = build_model(grid32)
-        state = spinodal_state(grid32)
-        for _ in range(5):
-            state = advance(model, state, 1e-3, check_invariants=True)
+        ledger = EnergyLedger()
+        state = integrate(model, spinodal_state(grid32), 1e-3, 5e-3, ledger=ledger)
+        assert state.step == len(ledger.rows) == 5
+        m0 = float(spinodal_state(grid32).phi.sum() * grid32.cell_area)
+        assert np.abs(ledger.column("mass_phi") - m0).max() <= 1e-10
+        assert ledger.column("max_div_u").max() <= 1e-10
 
     def test_run_to_cadence_callback(self, grid32):
         # integrate calls on_step after every step; a cadence is the caller's filter
@@ -345,6 +352,65 @@ class TestAdvance:
         assert abs(float(state.phi.mean()) - m0) <= 1e-12
         assert np.abs(state.vel.divergence()).max() <= 1e-10
         assert state.vel.max_speed() > 0.0  # couplings actually stirred the flow
+
+
+def break_from(monkeypatch, name, steps, spoil):
+    """Make `nlchb.solver.<name>` (step_ch or step_ns) pass its result through
+    `spoil` for every step that starts at `steps` or later."""
+    raw = getattr(nlchb.solver, name)
+
+    def broken(model, state, *args):
+        out = raw(model, state, *args)
+        return spoil(out) if state.step >= steps else out
+
+    monkeypatch.setattr(nlchb.solver, name, broken)
+
+
+def leak_divergence(vel):
+    vel.u[5, 5] += 1e-6  # two cells get |div u| = 1e-6 / dx
+    return vel
+
+
+def add_mass(out):
+    phi_next, mu_half = out
+    return phi_next + 1e-8, mu_half  # int phi grows by 1e-8 on the unit square
+
+
+class TestInvariants:
+    """A ledgered step whose mass change or max |div u| exceeds 1e-10 raises
+    InvariantError with its start state, and its row is not appended."""
+
+    dt, t_end, bad_step = 1e-3, 6e-3, 3
+
+    @pytest.mark.parametrize("name, spoil", [("step_ns", leak_divergence), ("step_ch", add_mass)])
+    def test_violation_raises_with_last_good_state(self, grid32, monkeypatch, name, spoil):
+        model = build_model(grid32)
+        good = integrate(model, spinodal_state(grid32), self.dt, self.bad_step * self.dt)
+        break_from(monkeypatch, name, self.bad_step, spoil)
+        ledger = EnergyLedger()
+        with pytest.raises(InvariantError) as info:
+            integrate(model, spinodal_state(grid32), self.dt, self.t_end, ledger=ledger)
+        state = info.value.state
+        assert isinstance(info.value, BlowUpError)
+        assert state.step == self.bad_step == len(ledger.rows)
+        assert_same_state(state, good)
+        # unledgered runs are not checked
+        end = integrate(model, spinodal_state(grid32), self.dt, self.t_end)
+        assert end.step == round(self.t_end / self.dt)
+
+    def test_non_finite_row_is_a_plain_blow_up(self, grid32, monkeypatch):
+        # a NaN max_div_u passes the `>` test and fails the ledger's finiteness check
+        raw = nlchb.solver._ledger_row
+
+        def nan_row(*args):
+            return {**raw(*args), "max_div_u": float("nan")}
+
+        monkeypatch.setattr(nlchb.solver, "_ledger_row", nan_row)
+        model = build_model(grid32)
+        with pytest.raises(BlowUpError) as info:
+            advance(model, spinodal_state(grid32), self.dt, ledger=EnergyLedger())
+        assert not isinstance(info.value, InvariantError)
+        assert isinstance(info.value.__cause__, NonFiniteError)
 
 
 def coupled_flow_setup(grid, mode):
@@ -402,7 +468,7 @@ class TestSharedChemicalPotential:
             else:
                 interface = e_local(g, phi)
                 mu = mu_local(g, phi, theta, pot, mat)
-            energy = total_energy(g, phi, theta, state.vel, mode, pot, mat, model.kernel, model.a)
+            energy = fields_energy(g, phi, theta, state.vel, mode, pot, mat, model.kernel, model.a)
             assert row["E_interface"] == interface
             assert row["E_total"] == energy
             assert model.total_energy(state) == row["E_total"]

@@ -24,8 +24,7 @@ from nlchb.physics import MaterialParams
 from nlchb.solver import (
     Forcing,
     Model,
-    _implicit_u_solve,
-    _implicit_v_solve,
+    _implicit_solve,
     _projection_eigenvalues,
     _sine_denominators,
     advance,
@@ -150,8 +149,9 @@ class TestSameBitsAsOracle:
         for scale in SCALES:
             ru = scale * rng.standard_normal((g.nx - 1, g.ny))
             rv = scale * rng.standard_normal((g.nx, g.ny - 1))
-            assert_same_bits(_implicit_u_solve(g, alpha, nu, ru), oracle_implicit_u_solve(g, alpha, nu, ru))
-            assert_same_bits(_implicit_v_solve(g, alpha, nu, rv), oracle_implicit_v_solve(g, alpha, nu, rv))
+            den_u, den_v = _sine_denominators(g, alpha, nu)
+            assert_same_bits(_implicit_solve(den_u, 0, ru), oracle_implicit_u_solve(g, alpha, nu, ru))
+            assert_same_bits(_implicit_solve(den_v, 1, rv), oracle_implicit_v_solve(g, alpha, nu, rv))
 
     def test_corner_weights(self, shape):
         g = self.grid(shape)
@@ -201,8 +201,8 @@ def test_denominators_built_once_per_run(grid32):
     integrate(model, state, dt, steps * dt, ledger=EnergyLedger())
     # (1/dt, S) and (1/dt, kappa): two helmholtz_solve calls per step
     assert _helmholtz_denominator.cache_info()[:2] == (2 * steps - 2, 2)
-    # one (1/dt, nu_bar) pair, read by both no-slip solves of the step
-    assert _sine_denominators.cache_info()[:2] == (2 * steps - 1, 1)
+    # one (1/dt, nu_bar) pair, looked up once per step for both no-slip solves
+    assert _sine_denominators.cache_info()[:2] == (steps - 1, 1)
     # two projections per step
     assert _projection_eigenvalues.cache_info()[:2] == (2 * steps - 1, 1)
     # one dissipation per ledger row
@@ -261,3 +261,15 @@ def test_max_speed_once_per_step(grid32, monkeypatch, ledgered):
         assert calls[-1] is (state.vel if ledgered else previous.vel)
     if ledgered:
         assert ledger.rows[-1]["max_u"] == state.vel.max_speed()
+
+
+@pytest.mark.parametrize("ledgered, per_step", [(False, 2), (True, 3)])
+def test_divergence_calls_per_step(grid32, monkeypatch, ledgered, per_step):
+    # two projections per step, plus the row's max |div u|, which is also
+    # the one incompressibility check
+    model = flow_model(grid32, (0.3, -1.0))
+    state = smooth_flow_state(grid32)
+    calls = count_calls(monkeypatch, MacVelocity.divergence)
+    steps = 4
+    integrate(model, state, 5e-4, steps * 5e-4, ledger=EnergyLedger() if ledgered else None)
+    assert len(calls) == per_step * steps
