@@ -7,6 +7,8 @@ to its own directory under OUTDIR (which must not exist yet):
 
   * `run` on configs/spinodal.cfg and configs/convection.cfg;
   * `sweep-eps configs/spinodal.cfg --eps 0.2,0.1,0.05`;
+  * `gamma-sweep configs/spinodal.cfg --eps 0.2,0.1,0.05`;
+  * `validate` on configs/spinodal.cfg and configs/convection.cfg (stdout only);
   * `resume` from the spinodal run's snapshot_00000200.bin, into a copy of
     that run's ledger.csv (so the ledger is cut back and appended to).
 
@@ -54,6 +56,11 @@ def main(argv: list[str]) -> int:
         "sweep-eps": run(
             "sweep-eps", ["sweep-eps", "configs/spinodal.cfg", "--eps", "0.2,0.1,0.05"], outdir
         ),
+        "gamma-sweep": run(
+            "gamma-sweep", ["gamma-sweep", "configs/spinodal.cfg", "--eps", "0.2,0.1,0.05"], outdir
+        ),
+        "validate-spinodal": run("validate", ["validate", "configs/spinodal.cfg"], outdir),
+        "validate-convection": run("validate", ["validate", "configs/convection.cfg"], outdir),
     }
     (outdir / "resume").mkdir()
     shutil.copy(outdir / "spinodal" / "ledger.csv", outdir / "resume" / "ledger.csv")

@@ -111,10 +111,14 @@ DEFAULT_CONFIG_TEXT = "\n".join(
 def _convert(kind: str, raw: str):
     if kind == "int":
         return int(raw)
-    if kind == "float":
-        return float(raw)
-    if kind == "floats":
-        return tuple(float(p) for p in raw.replace(",", " ").split())
+    if kind == "float_or_auto" and raw.lower() == "auto":
+        return None
+    if kind in ("float", "floats", "float_or_auto"):
+        parts = raw.replace(",", " ").split() if kind == "floats" else [raw]
+        values = [float(p) for p in parts]
+        if not np.isfinite(values).all():
+            raise ValueError(f"must be finite, got {raw!r}")
+        return tuple(values) if kind == "floats" else values[0]
     if kind == "bool":
         low = raw.lower()
         if low in ("true", "yes", "1", "on"):
@@ -122,8 +126,6 @@ def _convert(kind: str, raw: str):
         if low in ("false", "no", "0", "off"):
             return False
         raise ValueError(f"not a boolean: {raw!r}")
-    if kind == "float_or_auto":
-        return None if raw.lower() == "auto" else float(raw)
     if kind.startswith("choice:"):
         options = kind.split(":", 1)[1].split(",")
         if raw not in options:

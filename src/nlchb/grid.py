@@ -16,7 +16,6 @@ import numpy as np
 from scipy import fft as _fft
 
 __all__ = [
-    "NonFiniteError",
     "Grid",
     "MacVelocity",
     "dct2_transform",
@@ -31,10 +30,6 @@ __all__ = [
 ]
 
 MIN_CELLS = 8
-
-
-class NonFiniteError(ValueError):
-    """A field or ledger row holds NaN or inf values."""
 
 
 @dataclass(frozen=True)
@@ -146,22 +141,14 @@ class MacVelocity:
         mv = float(np.max(np.abs(self.v))) if self.v.size else 0.0
         return max(mu, mv)
 
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.v)))
-
-
-def _check_finite(values: np.ndarray) -> None:
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteError("field contains non-finite values")
-
 
 def dct2_transform(values: np.ndarray) -> np.ndarray:
     """Forward cosine transform; coefficient (0, 0) equals nx*ny*mean(field).
 
     Normalization: scipy's unnormalized DCT-II divided by 4, fixed so that
     constants map to the single (0, 0) coefficient with the documented scale.
+    The input is not checked: NaN and inf carry through to the coefficients.
     """
-    _check_finite(values)
     return _fft.dctn(values, type=2) / 4.0
 
 
@@ -206,8 +193,8 @@ def gradient_cc(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
     The boundary stencil (f[1]-f[0])/(2 dx) is the centered difference with
     the ghost value f[-1] := f[0]; second order for Neumann-compatible fields.
+    The input is not checked: NaN and inf carry through to the gradient.
     """
-    _check_finite(values)
     px = np.empty((grid.nx + 2, grid.ny))
     px[1:-1] = values
     px[0] = values[0]

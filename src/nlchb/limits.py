@@ -295,7 +295,7 @@ def solution_sweep(
             "t_end": n_steps * dt,
             "n_steps": n_steps,
             "sample_every": sample_every,
-            "mass_phi0": float(state0.phi.mean()),
+            "mass_phi0": float(state0.phi.sum() * area),
         },
         valid=[state is not None for state in states],
         ledgers={

@@ -96,7 +96,8 @@ def _parse_kv(line: str) -> dict[str, str]:
 
 
 def read_snapshot(path: str, grid: Grid | None = None) -> tuple[SimState, dict]:
-    """Read a snapshot; returns (state, meta). Refuses partial/mismatched files."""
+    """Read a snapshot; returns (state, meta). Refuses partial or mismatched
+    files and fields holding NaN or inf."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if not blob.startswith(MAGIC):
@@ -151,9 +152,11 @@ def read_snapshot(path: str, grid: Grid | None = None) -> tuple[SimState, dict]:
 
     arrays = []
     offset = 0
-    for _, shape in expected:
+    for name, shape in expected:
         count = shape[0] * shape[1]
         arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset).reshape(shape)
+        if not np.isfinite(arr).all():
+            raise SnapshotError(f"{path}: field {name} holds NaN or inf")
         arrays.append(arr.astype(np.float64))
         offset += count * 8
 

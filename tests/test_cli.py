@@ -1,5 +1,6 @@
 """End-to-end CLI tests: run, resume determinism, oracle, sweeps, validation."""
 
+import re
 import warnings
 
 import numpy as np
@@ -8,8 +9,10 @@ import pytest
 import nlchb.cli
 from nlchb.cli import main
 from nlchb.energy import LEDGER_COLUMNS
-from nlchb.snapshots import LedgerCsvWriter, read_snapshot
+from nlchb.grid import make_grid
+from nlchb.snapshots import LedgerCsvWriter, read_snapshot, write_snapshot
 
+from conftest import spinodal_state
 from test_limits import diverge_after
 from test_solver import break_from, leak_divergence
 
@@ -139,6 +142,31 @@ class TestRun:
         path.write_text("[kernel]\ngamma = 7\n")
         assert main(["run", str(path)]) == 1
 
+    @pytest.mark.parametrize(
+        "command, section, key, value",
+        [
+            ("validate", "kernel", "epsilon", "inf"),
+            ("run", "solver", "t_end", "inf"),
+            ("run", "initial", "phi_amplitude", "nan"),
+        ],
+    )
+    def test_non_finite_config_number_exits_1_writing_nothing(
+        self, tmp_path, monkeypatch, capsys, command, section, key, value
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a rejected config must not be run")
+
+        monkeypatch.setattr(nlchb.cli, "integrate", no_run)
+        text = FAST_RUN + f"\n[{section}]\n{key} = {value}\n"
+        if f"\n{key} = " in FAST_RUN:  # set the key where FAST_RUN has it
+            text = re.sub(rf"\n{key} = .*\n", f"\n{key} = {value}\n", FAST_RUN)
+        cfg = write_cfg(tmp_path, text)
+        assert main([command, cfg]) == 1
+        err = capsys.readouterr().err.splitlines()
+        expected = f"  [{section}] {key}: must be finite, got {value!r}"
+        assert err == ["invalid configuration:", expected]
+        assert not (tmp_path / "out").exists()
+
 
 class TestResume:
     def test_checkpoint_restart_bit_exact(self, tmp_path):
@@ -241,6 +269,18 @@ class TestValidateAndSweeps:
         csv = (tmp_path / "out" / "gamma_sweep.csv").read_text()
         assert "# kind = gamma_sweep" in csv
         assert "e_nl" in csv
+
+    def test_gamma_sweep_non_finite_phi_file_exits_1(self, tmp_path, capsys):
+        grid = make_grid(32, 32, 1.0, 1.0)
+        donor = spinodal_state(grid)
+        donor.phi[7, 9] = np.nan
+        write_snapshot(str(tmp_path / "donor.bin"), donor, grid)
+        text = ORACLE_CFG.replace("nx = 16", "nx = 32").replace("ny = 16", "ny = 32")
+        cfg = write_cfg(tmp_path, text + "\n[initial]\nphi_preset = file\nphi_file = donor.bin\n")
+        assert main(["gamma-sweep", cfg, "--eps", "0.4,0.2"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "field phi holds NaN or inf" in err[0]
+        assert not (tmp_path / "out" / "gamma_sweep.csv").exists()
 
     def test_sweep_eps_writes_summary_and_subdirs(self, tmp_path):
         text = FAST_RUN.replace("t_end = 2e-2", "t_end = 5e-3")

@@ -74,6 +74,26 @@ class TestErrors:
             parse_config("[forcing]\nz_preset = file\nz_file = nosuch.bin\n")
         assert any("not found" in e for e in info.value.errors)
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("kernel", "epsilon", "inf"),  # float
+            ("solver", "t_end", "inf"),
+            ("initial", "phi_amplitude", "nan"),
+            ("physics", "f_coeffs", "0.25, 0.0, -0.5, nan, 0.25"),  # floats
+            ("solver", "dt", "-inf"),  # float_or_auto
+            ("solver", "stabilization", "nan"),
+        ],
+    )
+    def test_non_finite_number_rejected(self, section, key, value):
+        with pytest.raises(ConfigError) as info:
+            parse_config(f"[{section}]\n{key} = {value}\n")
+        assert info.value.errors == [f"[{section}] {key}: must be finite, got {value!r}"]
+
+    def test_auto_and_finite_numbers_still_parse(self):
+        cfg = parse_config("[solver]\ndt = AUTO\nstabilization = 2.5\nt_end = 1e-2\n")
+        assert cfg.dt is None and cfg.stabilization == 2.5 and cfg.t_end == 1e-2
+
     def test_bad_type_reported_with_location(self):
         with pytest.raises(ConfigError) as info:
             parse_config("[grid]\nnx = many\n")

@@ -16,7 +16,7 @@ from nlchb.energy import (
     mac_l2_sq,
     total_energy,
 )
-from nlchb.grid import MacVelocity, NonFiniteError, dct2_inverse, dct2_transform, make_grid
+from nlchb.grid import MacVelocity, dct2_inverse, dct2_transform, make_grid
 from nlchb.kernel import calibrate_mollifier, compute_a, convolve, sample_kernel
 from nlchb.physics import MaterialParams, PotentialParams
 from nlchb.snapshots import LedgerCsvWriter
@@ -208,21 +208,6 @@ class TestLedger:
         del row["residual"]
         with pytest.raises(ValueError):
             led.append(row)
-
-    def test_non_finite_rejected(self):
-        led = EnergyLedger()
-        row = self.make_row(0.0)
-        row["E_total"] = np.nan
-        with pytest.raises(ValueError):
-            led.append(row)
-
-    def test_non_finite_raises_typed_error(self):
-        led = EnergyLedger()
-        row = self.make_row(0.0)
-        row["dissipation"] = np.nan
-        with pytest.raises(NonFiniteError):
-            led.append(row)
-        assert led.rows == []
 
     def test_csv_header(self, tmp_path):
         led = EnergyLedger()

@@ -14,6 +14,7 @@ from conftest import (
 )
 import nlchb.kernel
 import nlchb.solver
+from nlchb.config import parse_config
 from nlchb.energy import EnergyLedger
 from nlchb.grid import make_grid
 from nlchb.limits import SweepReport, gamma_sweep, solution_sweep, weak_operator_check
@@ -352,6 +353,19 @@ class TestStreamedSweep:
         )
         for name in DIST_COLUMNS:
             assert bits(report.columns[name]) == bits(fresh.columns[name]), name
+
+    def test_header_mass_is_the_ledger_integral(self):
+        # on a 2 x 1 domain the integral of phi is twice its mean
+        cfg = parse_config("[grid]\nnx = 16\nny = 16\nlx = 2.0\n[initial]\nphi_mean = 0.1\n")
+        report = solution_sweep(
+            cfg.grid, cfg.potential, cfg.material, cfg.initial_state(), [0.5, 0.4],
+            dt=1e-3, t_end=3e-3, sample_count=2, keep_ledgers=True,
+        )
+        (header,) = [line for line in report.csv_lines() if line.startswith("# mass_phi0 = ")]
+        mass0 = float(header.split(" = ")[1])
+        assert mass0 == pytest.approx(0.2, abs=1e-12)
+        for ledger in report.ledgers.values():
+            assert abs(ledger.rows[0]["mass_phi"] - mass0) <= 1e-12
 
     def test_diverged_reference_aborts(self, monkeypatch):
         diverge_after(monkeypatch, 2, "local")

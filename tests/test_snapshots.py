@@ -103,6 +103,18 @@ class TestFailureModes:
         with pytest.raises(SnapshotError, match="malformed header"):
             read_snapshot(str(path))
 
+    @pytest.mark.parametrize(
+        "name, value", [("phi", np.nan), ("theta", np.inf), ("u", -np.inf), ("v", np.nan)]
+    )
+    def test_non_finite_field_rejected(self, state16, tmp_path, name, value):
+        grid, state = state16
+        field = {"phi": state.phi, "theta": state.theta, "u": state.vel.u, "v": state.vel.v}[name]
+        field[3, 4] = value  # an interior cell or face
+        path = str(tmp_path / "snap.bin")
+        write_snapshot(path, state, grid)
+        with pytest.raises(SnapshotError, match=f"field {name} holds NaN or inf"):
+            read_snapshot(path, grid)
+
     def test_refused_write_leaves_no_files(self, state16, tmp_path):
         grid, state = state16
         state.theta = state.theta[:-1]

@@ -18,7 +18,7 @@ import nlchb.kernel
 import nlchb.physics
 import nlchb.solver
 from nlchb.energy import EnergyLedger, e_local, e_nl
-from nlchb.grid import MacVelocity, NonFiniteError, make_grid
+from nlchb.grid import MacVelocity, make_grid
 from nlchb.kernel import convolve
 from nlchb.physics import MaterialParams, PotentialParams, mu_local, mu_nonlocal
 from nlchb.solver import (
@@ -57,9 +57,8 @@ def count_convolutions(monkeypatch):
 
 
 def state_is_finite(state):
-    return bool(
-        np.all(np.isfinite(state.phi)) and np.all(np.isfinite(state.theta)) and state.vel.is_finite()
-    )
+    fields = (state.phi, state.theta, state.vel.u, state.vel.v)
+    return all(bool(np.all(np.isfinite(x))) for x in fields)
 
 
 def random_divfree(grid, seed=0, amp=1.0):
@@ -285,8 +284,8 @@ class TestAdvance:
         assert len(ledger.rows) == state.step
 
     def test_overflow_is_typed_non_finite_blow_up(self, grid32):
-        # F'(phi) overflows to inf, which the spectral solve's finiteness check
-        # reports as NonFiniteError; advance turns it into a blow-up
+        # F'(phi) overflows to inf, which carries through the step to the new
+        # fields; advance's one check of them reports a plain blow-up
         model = build_model(grid32)
         state = spinodal_state(grid32)
         state.phi = 1e120 * state.phi
@@ -294,8 +293,8 @@ class TestAdvance:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 advance(model, state, 1e-3, ledger=EnergyLedger())
+        assert type(info.value) is BlowUpError  # plain, not InvariantError
         assert info.value.state is state
-        assert isinstance(info.value.__cause__, NonFiniteError)
 
     def test_ledger_rows_appended(self, grid32):
         model = build_model(grid32)
@@ -355,7 +354,7 @@ class TestAdvance:
 
 
 def break_from(monkeypatch, name, steps, spoil):
-    """Make `nlchb.solver.<name>` (step_ch or step_ns) pass its result through
+    """Make `nlchb.solver.<name>` (step_ch, step_heat or step_ns) pass its result through
     `spoil` for every step that starts at `steps` or later."""
     raw = getattr(nlchb.solver, name)
 
@@ -399,7 +398,7 @@ class TestInvariants:
         assert end.step == round(self.t_end / self.dt)
 
     def test_non_finite_row_is_a_plain_blow_up(self, grid32, monkeypatch):
-        # a NaN max_div_u passes the `>` test and fails the ledger's finiteness check
+        # advance checks the row's values before the invariants
         raw = nlchb.solver._ledger_row
 
         def nan_row(*args):
@@ -407,10 +406,61 @@ class TestInvariants:
 
         monkeypatch.setattr(nlchb.solver, "_ledger_row", nan_row)
         model = build_model(grid32)
+        state = spinodal_state(grid32)
+        ledger = EnergyLedger()
         with pytest.raises(BlowUpError) as info:
-            advance(model, spinodal_state(grid32), self.dt, ledger=EnergyLedger())
-        assert not isinstance(info.value, InvariantError)
-        assert isinstance(info.value.__cause__, NonFiniteError)
+            advance(model, state, self.dt, ledger=ledger)
+        assert type(info.value) is BlowUpError  # plain, not InvariantError
+        assert info.value.state is state
+        assert "max_div_u" in str(info.value) and ledger.rows == []
+
+
+def nan_phi(out):
+    phi_next, mu_half = out
+    phi_next = phi_next.copy()
+    phi_next[4, 4] = np.nan
+    return phi_next, mu_half
+
+
+def nan_theta(theta_next):
+    theta_next = theta_next.copy()
+    theta_next[4, 4] = np.nan
+    return theta_next
+
+
+def nan_u(vel):
+    vel.u[5, 5] = np.nan
+    return vel
+
+
+class TestOneFinitenessCheck:
+    """NaN and inf carry through a step, and advance checks its fields once: a
+    NaN from any sub-step raises a plain BlowUpError with the step's start
+    state, ledgered or not, and appends no row."""
+
+    dt, t_end, bad_step = 1e-3, 6e-3, 3
+
+    @pytest.mark.parametrize("ledgered", [False, True])
+    @pytest.mark.parametrize(
+        "name, spoil, field",
+        [("step_ch", nan_phi, "phi"), ("step_heat", nan_theta, "theta"), ("step_ns", nan_u, "u")],
+    )
+    def test_nan_from_a_sub_step_is_a_plain_blow_up(
+        self, grid32, monkeypatch, name, spoil, field, ledgered
+    ):
+        model = build_model(grid32)
+        good = integrate(model, spinodal_state(grid32), self.dt, self.bad_step * self.dt)
+        break_from(monkeypatch, name, self.bad_step, spoil)
+        ledger = EnergyLedger() if ledgered else None
+        with pytest.raises(BlowUpError) as info:
+            integrate(model, spinodal_state(grid32), self.dt, self.t_end, ledger=ledger)
+        assert type(info.value) is BlowUpError  # plain, not InvariantError
+        assert_same_state(info.value.state, good)
+        message = str(info.value)
+        assert message.startswith("step diverged: non-finite ")
+        assert field in message.split("non-finite ", 1)[1].split(", ")
+        if ledgered:
+            assert len(ledger.rows) == self.bad_step
 
 
 def coupled_flow_setup(grid, mode):
