@@ -149,18 +149,25 @@ def dct2_transform(values: np.ndarray) -> np.ndarray:
     constants map to the single (0, 0) coefficient with the documented scale.
     The input is not checked: NaN and inf carry through to the coefficients.
     """
-    return _fft.dctn(values, type=2) / 4.0
+    coeffs = _fft.dctn(values, type=2)
+    coeffs /= 4.0
+    return coeffs
 
 
 def dct2_inverse(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse of `dct2_transform` (exact round trip up to rounding)."""
-    return _fft.idctn(coeffs * 4.0, type=2)
+    """Inverse of `dct2_transform` (exact round trip up to rounding).
+
+    `coeffs` is left unchanged: the transform runs in place on the scaled copy.
+    """
+    return _fft.idctn(coeffs * 4.0, type=2, overwrite_x=True)
 
 
 def laplacian_neumann(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Neumann Laplacian applied spectrally (zero-mean output by construction)."""
     coeffs = dct2_transform(values)
-    return dct2_inverse(-grid.laplacian_eigenvalues() * coeffs)
+    coeffs *= grid.laplacian_eigenvalues()
+    np.negative(coeffs, out=coeffs)  # -(lam c) has the bits of (-lam) c
+    return dct2_inverse(coeffs)
 
 
 @functools.lru_cache(maxsize=32)
@@ -195,17 +202,17 @@ def gradient_cc(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     the ghost value f[-1] := f[0]; second order for Neumann-compatible fields.
     The input is not checked: NaN and inf carry through to the gradient.
     """
-    px = np.empty((grid.nx + 2, grid.ny))
-    px[1:-1] = values
-    px[0] = values[0]
-    px[-1] = values[-1]
-    gx = (px[2:] - px[:-2]) / (2.0 * grid.dx)
+    gx = np.empty(grid.shape)
+    np.subtract(values[2:], values[:-2], out=gx[1:-1])
+    np.subtract(values[1], values[0], out=gx[0])
+    np.subtract(values[-1], values[-2], out=gx[-1])
+    gx /= 2.0 * grid.dx
 
-    py = np.empty((grid.nx, grid.ny + 2))
-    py[:, 1:-1] = values
-    py[:, 0] = values[:, 0]
-    py[:, -1] = values[:, -1]
-    gy = (py[:, 2:] - py[:, :-2]) / (2.0 * grid.dy)
+    gy = np.empty(grid.shape)
+    np.subtract(values[:, 2:], values[:, :-2], out=gy[:, 1:-1])
+    np.subtract(values[:, 1], values[:, 0], out=gy[:, 0])
+    np.subtract(values[:, -1], values[:, -2], out=gy[:, -1])
+    gy /= 2.0 * grid.dy
     return gx, gy
 
 

@@ -13,6 +13,7 @@ Convergence is reported as error and ratio tables, never as fitted rates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,6 +87,9 @@ class SweepReport:
 
 def _check_eps_list(eps_list) -> list[float]:
     eps = [float(e) for e in eps_list]
+    bad = [e for e in eps if not math.isfinite(e)]
+    if bad:
+        raise ValueError(f"eps must be finite, got {', '.join(map(str, bad))}")
     if not eps or not all(a > b for a, b in zip(eps, eps[1:])):
         raise ValueError("eps list must be nonempty and strictly decreasing")
     return eps

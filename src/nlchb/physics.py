@@ -51,18 +51,39 @@ class PotentialParams:
         if self.eta_f < 0.0:
             raise ValueError("eta_f must be nonnegative")
         object.__setattr__(self, "degree", deg)
-        # coefficients of F' and F'', built once (not fields: equality and hash keep to coeffs)
-        object.__setattr__(self, "_df_coeffs", np.polynomial.polynomial.polyder(c))
-        object.__setattr__(self, "_ddf_coeffs", np.polynomial.polynomial.polyder(c, 2))
+        # coefficients of F, F' and F'' up to the leading one, built once (not
+        # fields: equality and hash keep to coeffs)
+        lead = np.array(c[: deg + 1])
+        object.__setattr__(self, "_f_coeffs", lead)
+        object.__setattr__(self, "_df_coeffs", np.polynomial.polynomial.polyder(lead))
+        object.__setattr__(self, "_ddf_coeffs", np.polynomial.polynomial.polyder(lead, 2))
 
     def f(self, s):
-        return np.polynomial.polynomial.polyval(s, self.coeffs)
+        return _horner(self._f_coeffs, s)
 
     def df(self, s):
-        return np.polynomial.polynomial.polyval(s, self._df_coeffs)
+        return _horner(self._df_coeffs, s)
 
     def ddf(self, s):
-        return np.polynomial.polynomial.polyval(s, self._ddf_coeffs)
+        return _horner(self._ddf_coeffs, s)
+
+
+def _horner(coeffs: np.ndarray, s):
+    """sum_k coeffs[k] s^k by Horner's rule, updating one array in place.
+
+    The last coefficient is nonzero, so for finite s this has the bits of
+    `np.polynomial.polynomial.polyval`, which first adds s*0 to it and
+    allocates a new array in every pass; zero coefficients above the degree
+    change no bit there either.
+    """
+    if len(coeffs) == 1:
+        return coeffs[0] + np.asarray(s, dtype=float) * 0.0
+    out = np.multiply(s, coeffs[-1])
+    out += coeffs[-2]
+    for c in coeffs[-3::-1]:
+        out *= s
+        out += c
+    return out
 
 
 @dataclass(frozen=True)

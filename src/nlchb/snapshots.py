@@ -10,6 +10,7 @@ back bit-identically.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 
 import numpy as np
@@ -97,7 +98,7 @@ def _parse_kv(line: str) -> dict[str, str]:
 
 def read_snapshot(path: str, grid: Grid | None = None) -> tuple[SimState, dict]:
     """Read a snapshot; returns (state, meta). Refuses partial or mismatched
-    files and fields holding NaN or inf."""
+    files, and header numbers or fields holding NaN or inf."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if not blob.startswith(MAGIC):
@@ -112,7 +113,6 @@ def read_snapshot(path: str, grid: Grid | None = None) -> tuple[SimState, dict]:
         statekv = _parse_kv(lines[1])
         nx, ny = int(gridkv["nx"]), int(gridkv["ny"])
         lx, ly = float(gridkv["lx"]), float(gridkv["ly"])
-        file_grid = make_grid(nx, ny, lx, ly)
         t, step = float(statekv["t"]), int(statekv["step"])
         meta = {
             "mode": statekv.get("mode", "nonlocal"),
@@ -120,8 +120,13 @@ def read_snapshot(path: str, grid: Grid | None = None) -> tuple[SimState, dict]:
             "gamma": float(statekv.get("gamma", "0.0")),
             "dt": float(statekv["dt"]) if "dt" in statekv else None,
             "config_text": None,
-            "grid": file_grid,
         }
+        numbers = {"t": t, "dt": meta["dt"], "epsilon": meta["epsilon"],
+                   "gamma": meta["gamma"], "lx": lx, "ly": ly}
+        bad = [k for k, v in numbers.items() if v is not None and not math.isfinite(v)]
+        if bad:
+            raise ValueError(f"non-finite {', '.join(bad)}")
+        file_grid = meta["grid"] = make_grid(nx, ny, lx, ly)
         declared = []
         for token in lines[2].split("=", 1)[1].split():
             name, _, dims = token.partition(":")

@@ -101,10 +101,14 @@ class SimState:
 
     The terms derived from a state (mu, E, the viscous parts, ...) are not
     fields: each is computed the first time a model's step or ledger reads
-    it, and kept for later reads under that model (see `_Terms`). A read
-    under another model, or after phi, theta or vel was reassigned, starts a
-    fresh memo. Arrays written in place are not noticed: change a state by
-    assigning new arrays or by making a new one (`copy()`, `replace`).
+    it, and kept for later reads under that model (see `_Terms`). The scalar
+    terms (E, the interface energy, the energy integrals, max |u|) outlive a
+    step from the state; its grid arrays (J*phi, mu, g . u, the viscous parts)
+    are dropped by `advance` after their last reader in that step, and a later
+    read computes them again, bit for bit. A read under another model, or
+    after phi, theta or vel was reassigned, starts a fresh memo. Arrays
+    written in place are not noticed: change a state by assigning new arrays
+    or by making a new one (`copy()`, `replace`).
     """
 
     t: float
@@ -200,11 +204,29 @@ class Forcing:
     z: np.ndarray | None = None
 
 
+def _difference(f: np.ndarray, axis: int, d: float) -> np.ndarray:
+    """(f[1:] - f[:-1]) / d along `axis`, built in one new array."""
+    out = np.diff(f, axis=axis)
+    out /= d
+    return out
+
+
+def _midpoint(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """0.5 * (a + b), into `out` when given."""
+    out = np.add(a, b, out=out)
+    out *= 0.5
+    return out
+
+
 def advect_scalar(grid: Grid, vel: MacVelocity, c: np.ndarray) -> np.ndarray:
     """div(u c) in conservative flux form; discrete mass change is exactly zero."""
-    fx = vel.u * centers_to_xfaces(grid, c)
-    fy = vel.v * centers_to_yfaces(grid, c)
-    return (fx[1:] - fx[:-1]) / grid.dx + (fy[:, 1:] - fy[:, :-1]) / grid.dy
+    flux = centers_to_xfaces(grid, c)
+    flux *= vel.u
+    out = _difference(flux, 0, grid.dx)
+    flux = centers_to_yfaces(grid, c)
+    flux *= vel.v
+    out += _difference(flux, 1, grid.dy)
+    return out
 
 
 class _Terms:
@@ -213,6 +235,13 @@ class _Terms:
     `mu_nonlocal`, `mu_local`, `e_nl` and `total_energy` by their module-global
     names, so perfbench's wrappers see every call. The memo holds the state's
     arrays, not the state, so it makes no reference cycle.
+
+    Who holds what: the scalars (`energy`, `interface`, `integrals`, `max_u`)
+    stay for the life of the state. J*phi leaves once both its readers, `mu`
+    and `interface`, have their values. `advance` drops the other grid arrays
+    of its start state after their last reader: `mu` (and J*phi with it)
+    after `step_ch`, `g_dot_u` after `step_heat`, `viscous` after `step_ns`.
+    A dropped term read again is computed again by the same rule.
     """
 
     def __init__(self, model: Model, state: SimState):
@@ -274,6 +303,11 @@ class _Terms:
     @functools.cached_property
     def max_u(self) -> float:
         return self.vel.max_speed()
+
+    def drop(self, *names: str) -> None:
+        """Forget the named terms; a later read computes them again."""
+        for name in names:
+            self.__dict__.pop(name, None)
 
 
 def _terms(model: Model, state: SimState) -> _Terms:
@@ -355,9 +389,11 @@ def _implicit_solve(den: np.ndarray, sine1_axis: int, rhs_int: np.ndarray) -> np
     """(alpha - nu Delta) on one face set, `den` its `_sine_denominators` entry: sine-I
     along `sine1_axis`, sine-II along the other, which the inverse transforms first."""
     types = (1, 2) if sine1_axis == 0 else (2, 1)
-    chat = _fft.dst(_fft.dst(rhs_int, type=types[0], axis=0), type=types[1], axis=1)
+    chat = _fft.dst(rhs_int, type=types[0], axis=0)
+    chat = _fft.dst(chat, type=types[1], axis=1, overwrite_x=True)
     chat /= den
-    return _fft.idst(_fft.idst(chat, type=2, axis=1 - sine1_axis), type=1, axis=sine1_axis)
+    chat = _fft.idst(chat, type=2, axis=1 - sine1_axis, overwrite_x=True)
+    return _fft.idst(chat, type=1, axis=sine1_axis, overwrite_x=True)
 
 
 def momentum_advection(grid: Grid, vel: MacVelocity) -> tuple[np.ndarray, np.ndarray]:
@@ -370,22 +406,24 @@ def momentum_advection(grid: Grid, vel: MacVelocity) -> tuple[np.ndarray, np.nda
     dx, dy = grid.dx, grid.dy
 
     # u-momentum: east/west fluxes at cell centers, north/south at corners
-    uc = 0.5 * (u[:-1, :] + u[1:, :])               # (nx, ny) carrier and transported
-    f_xx = uc * uc
-    vcor = 0.5 * (v[:-1, :] + v[1:, :])             # (nx-1, ny+1) carrier at interior corners
-    ucor = np.zeros((grid.nx - 1, grid.ny + 1))     # transported u at corners; walls stay 0
-    ucor[:, 1:-1] = 0.5 * (u[1:-1, 1:] + u[1:-1, :-1])
-    f_xy = vcor * ucor
-    adv_u = (f_xx[1:] - f_xx[:-1]) / dx + (f_xy[:, 1:] - f_xy[:, :-1]) / dy  # (nx-1, ny)
+    flux = _midpoint(u[:-1, :], u[1:, :])           # (nx, ny) carrier and transported
+    flux *= flux
+    adv_u = _difference(flux, 0, dx)                # (nx-1, ny)
+    carrier = _midpoint(v[:-1, :], v[1:, :])        # (nx-1, ny+1) carrier at interior corners
+    flux = np.zeros((grid.nx - 1, grid.ny + 1))     # transported u at corners; walls stay 0
+    _midpoint(u[1:-1, 1:], u[1:-1, :-1], out=flux[:, 1:-1])
+    flux *= carrier
+    adv_u += _difference(flux, 1, dy)
 
     # v-momentum
-    vc = 0.5 * (v[:, :-1] + v[:, 1:])               # (nx, ny)
-    f_yy = vc * vc
-    ucor_v = 0.5 * (u[:, 1:] + u[:, :-1])           # (nx+1, ny-1) carrier at interior corners
-    vcor_v = np.zeros((grid.nx + 1, grid.ny - 1))   # transported v at corners; walls stay 0
-    vcor_v[1:-1, :] = 0.5 * (v[1:, 1:-1] + v[:-1, 1:-1])
-    f_yx = ucor_v * vcor_v
-    adv_v = (f_yy[:, 1:] - f_yy[:, :-1]) / dy + (f_yx[1:] - f_yx[:-1]) / dx  # (nx, ny-1)
+    flux = _midpoint(v[:, :-1], v[:, 1:])           # (nx, ny)
+    flux *= flux
+    adv_v = _difference(flux, 1, dy)                # (nx, ny-1)
+    carrier = _midpoint(u[:, 1:], u[:, :-1])        # (nx+1, ny-1) carrier at interior corners
+    flux = np.zeros((grid.nx + 1, grid.ny - 1))     # transported v at corners; walls stay 0
+    _midpoint(v[1:, 1:-1], v[:-1, 1:-1], out=flux[1:-1, :])
+    flux *= carrier
+    adv_v += _difference(flux, 0, dx)
 
     return adv_u, adv_v
 
@@ -399,15 +437,18 @@ def viscous_remainder(
     and the deformation.
     """
     nu_centers, nu_corners, (dxx, dyy, dxy) = viscous
-    dnu_c = nu_centers - nu_bar
-    dnu_cor = nu_corners - nu_bar
+    two_dnu = nu_centers - nu_bar
+    two_dnu *= 2.0
+    stress = two_dnu * dxx                          # txx
+    rem_u = _difference(stress, 0, grid.dx)
+    np.multiply(two_dnu, dyy, out=stress)           # tyy
+    rem_v = _difference(stress, 1, grid.dy)
 
-    txx = 2.0 * dnu_c * dxx
-    tyy = 2.0 * dnu_c * dyy
-    txy = 2.0 * dnu_cor * dxy
-
-    rem_u = (txx[1:] - txx[:-1]) / grid.dx + (txy[1:-1, 1:] - txy[1:-1, :-1]) / grid.dy
-    rem_v = (tyy[:, 1:] - tyy[:, :-1]) / grid.dy + (txy[1:, 1:-1] - txy[:-1, 1:-1]) / grid.dx
+    stress = nu_corners - nu_bar
+    stress *= 2.0
+    stress *= dxy                                   # txy
+    rem_u += _difference(stress[1:-1, :], 1, grid.dy)
+    rem_v += _difference(stress[:, 1:-1], 0, grid.dx)
     return rem_u, rem_v
 
 
@@ -418,12 +459,18 @@ def korteweg_force(
     theta: np.ndarray,
     phi: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """K (mu - l_c theta) grad phi, face-interpolated (zero at wall faces)."""
-    scal = material.K_cap * (mu_half - material.l_c * theta)
-    fx = np.zeros((grid.nx + 1, grid.ny))
-    fx[1:-1, :] = centers_to_xfaces(grid, scal)[1:-1, :] * (phi[1:] - phi[:-1]) / grid.dx
-    fy = np.zeros((grid.nx, grid.ny + 1))
-    fy[:, 1:-1] = centers_to_yfaces(grid, scal)[:, 1:-1] * (phi[:, 1:] - phi[:, :-1]) / grid.dy
+    """K (mu - l_c theta) grad phi on the interior faces: x-faces 1..nx-1, shape
+    (nx-1, ny), and y-faces 1..ny-1, shape (nx, ny-1). The force is zero at
+    the wall faces, which are left out."""
+    scal = material.l_c * theta
+    np.subtract(mu_half, scal, out=scal)
+    scal *= material.K_cap
+    fx = _midpoint(scal[1:], scal[:-1])
+    fx *= np.diff(phi, axis=0)
+    fx /= grid.dx
+    fy = _midpoint(scal[:, 1:], scal[:, :-1])
+    fy *= np.diff(phi, axis=1)
+    fy /= grid.dy
     return fx, fy
 
 
@@ -441,14 +488,17 @@ def project(grid: Grid, vel: MacVelocity) -> MacVelocity:
 
     Returns a new velocity; `vel` is left unchanged.
     """
-    coeffs = dct2_transform(vel.divergence())
+    # dct2_transform, run in place on the divergence that only this call holds
+    coeffs = _fft.dctn(vel.divergence(), type=2, overwrite_x=True)
+    coeffs /= 4.0
     np.negative(coeffs, out=coeffs)
     coeffs /= _projection_eigenvalues(grid)
     coeffs[0, 0] = 0.0
     psi = dct2_inverse(coeffs)
+    del coeffs
     out = vel.copy()
-    out.u[1:-1, :] -= (psi[1:] - psi[:-1]) / grid.dx
-    out.v[:, 1:-1] -= (psi[:, 1:] - psi[:, :-1]) / grid.dy
+    out.u[1:-1, :] -= _difference(psi, 0, grid.dx)
+    out.v[:, 1:-1] -= _difference(psi, 1, grid.dy)
     return out
 
 
@@ -471,41 +521,57 @@ def step_ns(
     identically zero, `buoy` is None and nothing is added.
     """
     g = model.grid
+    rhs = project(g, _momentum_rhs(model, state, phi_next, theta_next, mu_half, dt, q, buoy))
+    den_u, den_v = _sine_denominators(g, 1.0 / dt, model.material.nu_bar)
+    rhs.u[1:-1, :] = _implicit_solve(den_u, 0, rhs.u[1:-1, :])
+    rhs.v[:, 1:-1] = _implicit_solve(den_v, 1, rhs.v[:, 1:-1])
+    return project(g, rhs)
+
+
+def _momentum_rhs(
+    model: Model,
+    state: SimState,
+    phi_next: np.ndarray,
+    theta_next: np.ndarray,
+    mu_half: np.ndarray,
+    dt: float,
+    q: tuple[np.ndarray, np.ndarray] | None,
+    buoy: tuple[np.ndarray, np.ndarray] | None,
+) -> MacVelocity:
+    """The explicit right-hand side of `step_ns`, zero on the wall faces. Each
+    force is added to the interior faces and freed before the next is built."""
+    g = model.grid
     mat = model.material
     vel = state.vel
     terms = _terms(model, state)
 
     rhs = MacVelocity(g)
-    rhs.u[1:-1, :] = vel.u[1:-1, :] / dt
-    rhs.v[:, 1:-1] = vel.v[:, 1:-1] / dt
+    rhs_u, rhs_v = rhs.u[1:-1, :], rhs.v[:, 1:-1]
+    np.divide(vel.u[1:-1, :], dt, out=rhs_u)
+    np.divide(vel.v[:, 1:-1], dt, out=rhs_v)
 
     if terms.max_u > 0.0:
-        adv_u, adv_v = momentum_advection(g, vel)
-        rhs.u[1:-1, :] -= adv_u
-        rhs.v[:, 1:-1] -= adv_v
+        fx, fy = momentum_advection(g, vel)
+        rhs_u -= fx
+        rhs_v -= fy
+        del fx, fy
         if mat.nu_max > mat.nu_min:
-            rem_u, rem_v = viscous_remainder(g, terms.viscous, mat.nu_bar)
-            rhs.u[1:-1, :] += rem_u
-            rhs.v[:, 1:-1] += rem_v
+            fx, fy = viscous_remainder(g, terms.viscous, mat.nu_bar)
+            rhs_u += fx
+            rhs_v += fy
+            del fx, fy
 
-    kx, ky = korteweg_force(g, mat, mu_half, theta_next, phi_next)
-    fx, fy = kx[1:-1, :], ky[:, 1:-1]
+    fx, fy = korteweg_force(g, mat, mu_half, theta_next, phi_next)
     if any(mat.g):
         bx, by = buoy
-        fx = fx + bx[1:-1, :]
-        fy = fy + by[:, 1:-1]
-    rhs.u[1:-1, :] += fx
-    rhs.v[:, 1:-1] += fy
+        fx += bx[1:-1, :]
+        fy += by[:, 1:-1]
+    rhs_u += fx
+    rhs_v += fy
     if q is not None:
-        rhs.u[1:-1, :] += q[0][1:-1, :]
-        rhs.v[:, 1:-1] += q[1][:, 1:-1]
-
-    rhs = project(g, rhs)
-    den_u, den_v = _sine_denominators(g, 1.0 / dt, mat.nu_bar)
-    out = MacVelocity(g)
-    out.u[1:-1, :] = _implicit_solve(den_u, 0, rhs.u[1:-1, :])
-    out.v[:, 1:-1] = _implicit_solve(den_v, 1, rhs.v[:, 1:-1])
-    return project(g, out)
+        rhs_u += q[0][1:-1, :]
+        rhs_v += q[1][:, 1:-1]
+    return rhs
 
 
 def suggest_dt(model: Model, state: SimState, safety: float) -> float:
@@ -532,19 +598,26 @@ def suggest_dt(model: Model, state: SimState, safety: float) -> float:
 
 def _ledger_row(
     model: Model,
-    state: SimState,
+    e_prev: float,
     state_next: SimState,
     dt: float,
     forcing: Forcing,
     buoy: tuple[np.ndarray, np.ndarray] | None,
 ) -> dict:
-    """The ledger row of the step from `state` to `state_next`, from their
-    terms under `model`."""
+    """The ledger row of the step to `state_next` from a state of energy
+    `e_prev`, from the terms of `state_next` under `model`.
+
+    E is read first, so J*phi leaves as soon as mu has it too. `max_div_u` is
+    the trace dxx + dyy of the deformation the dissipation reads, which is
+    bit for bit `MacVelocity.divergence()`.
+    """
     g = model.grid
     mat = model.material
     terms = _terms(model, state_next)
+    energy = terms.energy
     f_int, u_sq, theta_sq = terms.integrals
     diss = dissipation(g, terms.mu, state_next.theta, mat, terms.viscous)
+    dxx, dyy, _ = terms.viscous[2]
     works = work_terms(
         g,
         state_next.theta,
@@ -556,10 +629,10 @@ def _ledger_row(
         terms.g_dot_u,
     )
     work_sum = sum(works.values())
-    resid = energy_budget_residual(_terms(model, state).energy, terms.energy, diss, work_sum, dt)
+    resid = energy_budget_residual(e_prev, energy, diss, work_sum, dt)
     return {
         "t": state_next.t,
-        "E_total": terms.energy,
+        "E_total": energy,
         "E_interface": terms.interface,
         "F_integral": f_int,
         "kinetic": u_sq / (2.0 * mat.K_cap * mat.l_c),
@@ -568,7 +641,7 @@ def _ledger_row(
         "residual": resid,
         "mass_phi": float(state_next.phi.sum() * g.cell_area),
         "mean_h": float(np.mean(state_next.theta - mat.l_h * state_next.phi)),
-        "max_div_u": float(np.abs(state_next.vel.divergence()).max()),
+        "max_div_u": float(np.abs(dxx + dyy).max()),
         "max_u": terms.max_u,
         "dt_used": dt,
         **works,
@@ -590,14 +663,25 @@ def advance(
     `state` and of the new state from their memos under `model`; a row holding
     NaN or inf raises `BlowUpError` and one that breaks an invariant raises
     `InvariantError`, both instead of being appended.
+
+    Each grid array of `state`'s memo is dropped after its last reader here
+    (see `_Terms`), so a step holds as few arrays as its sub-steps need; the
+    scalars stay. With a ledger, E of `state` is read before the step, so its
+    J*phi serves both mu and E and then leaves.
     """
     forcing = forcing or Forcing()
     g, mat = model.grid, model.material
+    terms = _terms(model, state)
+    e_prev = terms.energy if ledger is not None else None
 
     phi_next, mu_half = step_ch(model, state, dt)
+    terms.drop("mu", "j_phi")
     theta_next = step_heat(model, state, phi_next, dt, forcing.z)
+    terms.drop("g_dot_u")
     buoy = buoyancy(g, mat, phi_next, theta_next) if any(mat.g) else None
     vel_next = step_ns(model, state, phi_next, theta_next, mu_half, dt, forcing.q, buoy)
+    del mu_half
+    terms.drop("viscous")
     fields = {"phi": phi_next, "theta": theta_next, "u": vel_next.u, "v": vel_next.v}
     bad = [name for name, x in fields.items() if not np.isfinite(x).all()]
     if bad:
@@ -607,7 +691,7 @@ def advance(
     )
 
     if ledger is not None:
-        row = _ledger_row(model, state, state_next, dt, forcing, buoy)
+        row = _ledger_row(model, e_prev, state_next, dt, forcing, buoy)
         bad = [c for c, x in row.items() if not math.isfinite(x)]
         if bad:
             raise BlowUpError(f"step diverged: non-finite ledger {', '.join(bad)}", state)

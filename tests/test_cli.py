@@ -227,6 +227,21 @@ class TestResume:
         assert main(["resume", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_resume_from_non_finite_header_exits_1_writing_nothing(self, tmp_path, capsys):
+        # t = nan used to resume as "finished at t=nan after 0 steps" and write a checkpoint
+        cfg = write_cfg(tmp_path, FAST_RUN)
+        assert main(["run", cfg]) == 0
+        out = tmp_path / "out"
+        snap = out / "snapshot_00000010.bin"
+        blob = snap.read_bytes()
+        snap.write_bytes(re.sub(rb"\nt=[^ ]+ ", b"\nt=nan ", blob, count=1))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert main(["resume", str(snap)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "non-finite t" in err[0]
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_resume_already_finished(self, tmp_path):
         cfg = write_cfg(tmp_path, FAST_RUN)
         assert main(["run", cfg]) == 0
@@ -281,6 +296,16 @@ class TestValidateAndSweeps:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "field phi holds NaN or inf" in err[0]
         assert not (tmp_path / "out" / "gamma_sweep.csv").exists()
+
+    @pytest.mark.parametrize("command", ["gamma-sweep", "sweep-eps"])
+    @pytest.mark.parametrize("eps", ["inf,0.2", "0.4,nan"])
+    def test_non_finite_eps_exits_1(self, tmp_path, capsys, command, eps):
+        cfg = write_cfg(tmp_path, FAST_RUN.replace("t_end = 2e-2", "t_end = 5e-3"))
+        assert main([command, cfg, "--eps", eps]) == 1
+        err = capsys.readouterr().err.splitlines()
+        bad = eps.split(",")[0 if eps.startswith("inf") else 1]
+        assert len(err) == 1 and err[0] == f"error: eps must be finite, got {bad}"
+        assert not [p for p in (tmp_path / "out").rglob("*") if p.is_file()]
 
     def test_sweep_eps_writes_summary_and_subdirs(self, tmp_path):
         text = FAST_RUN.replace("t_end = 2e-2", "t_end = 5e-3")

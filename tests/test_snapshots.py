@@ -1,5 +1,7 @@
 """Snapshot round-trip exactness, failure modes, and image output."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,21 @@ class TestFailureModes:
         write_snapshot(path, state, grid)
         with pytest.raises(SnapshotError, match=f"field {name} holds NaN or inf"):
             read_snapshot(path, grid)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("t", "nan"), ("dt", "inf"), ("epsilon", "-inf"), ("gamma", "nan"), ("lx", "inf"), ("ly", "nan")],
+    )
+    def test_non_finite_header_number_rejected(self, state16, tmp_path, key, value):
+        grid, state = state16
+        path = tmp_path / "snap.bin"
+        write_snapshot(str(path), state, grid, epsilon=0.2, gamma=0.5, dt=1e-3)
+        blob = path.read_bytes()
+        blob, count = re.subn(rb"(?<=[ \n])" + key.encode() + rb"=[^ \n]+", f"{key}={value}".encode(), blob, 1)
+        assert count == 1
+        path.write_bytes(blob)
+        with pytest.raises(SnapshotError, match=f"non-finite {key}"):
+            read_snapshot(str(path))
 
     def test_refused_write_leaves_no_files(self, state16, tmp_path):
         grid, state = state16
