@@ -87,6 +87,8 @@ def _run_loop(
             csv.write_row(ledger.rows[-1])
         ledger.rows.clear()
         if state.step % config.cadence == 0:
+            if csv is not None:  # every row up to a snapshot is on disk before it
+                csv.flush()
             _emit_outputs(config, outdir, state, dt)
 
     try:
@@ -149,11 +151,10 @@ def cmd_resume(checkpoint_path: str) -> int:
         print("checkpoint already at or beyond t_end; nothing to do")
         return 0
     csv_path = os.path.join(outdir, "ledger.csv")
-    has_csv = os.path.exists(csv_path)
-    if has_csv:
+    if os.path.exists(csv_path):
         # a mid-run snapshot is older than the ledger's last rows
         _cut_ledger(csv_path, state.t)
-    return _run_loop(config, model, state, config.forcing(), dt, outdir, append_csv=has_csv)
+    return _run_loop(config, model, state, config.forcing(), dt, outdir, append_csv=True)
 
 
 def cmd_validate(config_path: str) -> int:
@@ -300,42 +301,26 @@ def main(argv: list[str] | None = None) -> int:
         prog="nlchb",
         description="Nonlocal two-phase-flow simulator with convective heat transfer",
     )
+    commands = {  # name: (help, positional argument, handler)
+        "run": ("run a simulation to t_end", "config", cmd_run),
+        "resume": ("continue from a checkpoint", "checkpoint", cmd_resume),
+        "validate": ("check model assumptions for a config", "config", cmd_validate),
+        "gamma-sweep": ("interface-energy convergence study", "config", cmd_gamma_sweep),
+        "sweep-eps": ("full-solution convergence study", "config", cmd_sweep_eps),
+        "oracle": ("run the brute-force oracle battery", "config", cmd_oracle),
+    }
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="run a simulation to t_end")
-    p_run.add_argument("config")
-
-    p_resume = sub.add_parser("resume", help="continue from a checkpoint")
-    p_resume.add_argument("checkpoint")
-
-    p_validate = sub.add_parser("validate", help="check model assumptions for a config")
-    p_validate.add_argument("config")
-
-    p_gamma = sub.add_parser("gamma-sweep", help="interface-energy convergence study")
-    p_gamma.add_argument("config")
-    p_gamma.add_argument("--eps", required=True, help="comma/space-separated decreasing list")
-
-    p_sweep = sub.add_parser("sweep-eps", help="full-solution convergence study")
-    p_sweep.add_argument("config")
-    p_sweep.add_argument("--eps", required=True, help="comma/space-separated decreasing list")
-
-    p_oracle = sub.add_parser("oracle", help="run the brute-force oracle battery")
-    p_oracle.add_argument("config")
+    for name, (help_text, positional, _) in commands.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument(positional)
+        if name in ("gamma-sweep", "sweep-eps"):
+            p.add_argument("--eps", required=True, help="comma/space-separated decreasing list")
 
     args = parser.parse_args(argv)
+    _, positional, handler = commands[args.command]
     try:
-        if args.command == "run":
-            return cmd_run(args.config)
-        if args.command == "resume":
-            return cmd_resume(args.checkpoint)
-        if args.command == "validate":
-            return cmd_validate(args.config)
-        if args.command == "gamma-sweep":
-            return cmd_gamma_sweep(args.config, _parse_eps(args.eps))
-        if args.command == "sweep-eps":
-            return cmd_sweep_eps(args.config, _parse_eps(args.eps))
-        if args.command == "oracle":
-            return cmd_oracle(args.config)
+        eps = [_parse_eps(args.eps)] if "eps" in args else []
+        return handler(getattr(args, positional), *eps)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -345,7 +330,6 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 1
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ import numpy as np
 
 from .grid import Grid, MacVelocity, make_grid
 from .physics import MaterialParams, PotentialParams
+from .snapshots import read_snapshot
 from .solver import Forcing, Model, SimState
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "DEFAULT_CONFIG_TEXT"]
@@ -169,9 +170,11 @@ class RunConfig:
             stabilization=self.stabilization,
         )
 
-    def initial_state(self) -> SimState:
-        from .snapshots import read_snapshot
+    def _from_file(self, spec: dict, key: str) -> SimState:
+        """The snapshot named by `spec[key]`, relative to the config's directory."""
+        return read_snapshot(os.path.join(self.base_dir, spec[key]), self.grid)[0]
 
+    def initial_state(self) -> SimState:
         g = self.grid
         ini = self.initial
         preset = ini["phi_preset"]
@@ -187,26 +190,19 @@ class RunConfig:
             phi = ini["phi_mean"] + ini["phi_amplitude"] * (rng.random(g.shape) - 0.5)
             phi -= phi.mean() - ini["phi_mean"]
         else:
-            state, _ = read_snapshot(os.path.join(self.base_dir, ini["phi_file"]), g)
-            phi = state.phi
+            phi = self._from_file(ini, "phi_file").phi
 
         if ini["theta_preset"] == "zero":
             theta = g.zeros()
         elif ini["theta_preset"] == "constant":
             theta = np.full(g.shape, ini["theta_value"])
         else:
-            state, _ = read_snapshot(os.path.join(self.base_dir, ini["theta_file"]), g)
-            theta = state.theta
+            theta = self._from_file(ini, "theta_file").theta
 
-        vel = MacVelocity(g)
-        if ini["u_preset"] == "file":
-            state, _ = read_snapshot(os.path.join(self.base_dir, ini["u_file"]), g)
-            vel = state.vel
+        vel = self._from_file(ini, "u_file").vel if ini["u_preset"] == "file" else MacVelocity(g)
         return SimState(t=0.0, step=0, phi=phi, theta=theta, vel=vel)
 
     def forcing(self) -> Forcing:
-        from .snapshots import read_snapshot
-
         g = self.grid
         fs = self.forcing_spec
         q = None
@@ -217,8 +213,8 @@ class RunConfig:
                 np.full((g.nx, g.ny + 1), fs["q_y"]),
             )
         elif fs["q_preset"] == "file":
-            state, _ = read_snapshot(os.path.join(self.base_dir, fs["q_file"]), g)
-            q = (state.vel.u, state.vel.v)
+            vel = self._from_file(fs, "q_file").vel
+            q = (vel.u, vel.v)
         if fs["z_preset"] == "constant":
             z = np.full(g.shape, fs["z_value"])
         elif fs["z_preset"] == "single_mode":
@@ -227,8 +223,7 @@ class RunConfig:
                 np.pi * fs["z_ky"] * Y / g.Ly
             )
         elif fs["z_preset"] == "file":
-            state, _ = read_snapshot(os.path.join(self.base_dir, fs["z_file"]), g)
-            z = state.theta
+            z = self._from_file(fs, "z_file").theta
         return Forcing(q=q, z=z)
 
 
@@ -282,25 +277,21 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
                 errors.append(f"[{section}] {key}: {exc}")
                 parsed[section][key] = _convert(kind, default)
 
-    grid = None
-    try:
-        gp = parsed["grid"]
-        grid = make_grid(gp["nx"], gp["ny"], gp["lx"], gp["ly"])
-    except ValueError as exc:
-        errors.append(f"[grid]: {exc}")
+    def build(label: str, make):
+        """make(), or None with its ValueError added to the errors under `label`."""
+        try:
+            return make()
+        except ValueError as exc:
+            errors.append(f"{label}: {exc}")
 
-    potential = None
-    try:
-        potential = PotentialParams(
-            coeffs=parsed["physics"]["f_coeffs"], eta_f=parsed["physics"]["eta_f"]
-        )
-    except ValueError as exc:
-        errors.append(f"[physics] potential: {exc}")
-
-    material = None
-    try:
-        p = parsed["physics"]
-        material = MaterialParams(
+    gp, p = parsed["grid"], parsed["physics"]
+    grid = build("[grid]", lambda: make_grid(gp["nx"], gp["ny"], gp["lx"], gp["ly"]))
+    potential = build(
+        "[physics] potential", lambda: PotentialParams(coeffs=p["f_coeffs"], eta_f=p["eta_f"])
+    )
+    material = build(
+        "[physics]",
+        lambda: MaterialParams(
             K_cap=p["k_cap"],
             l_c=p["l_c"],
             l_h=p["l_h"],
@@ -312,9 +303,8 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
             alpha1=p["alpha1"],
             alpha2=p["alpha2"],
             g=(p["g_x"], p["g_y"]),
-        )
-    except ValueError as exc:
-        errors.append(f"[physics]: {exc}")
+        ),
+    )
 
     k = parsed["kernel"]
     if k["mode"] == "nonlocal":
@@ -337,17 +327,13 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     if s["stabilization"] is not None and s["stabilization"] < 0.0:
         errors.append(f"[solver] stabilization: must be nonnegative or 'auto'")
 
-    for section, key, preset_key, preset in (
-        ("initial", "phi_file", "phi_preset", parsed["initial"]["phi_preset"]),
-        ("initial", "theta_file", "theta_preset", parsed["initial"]["theta_preset"]),
-        ("initial", "u_file", "u_preset", parsed["initial"]["u_preset"]),
-        ("forcing", "q_file", "q_preset", parsed["forcing"]["q_preset"]),
-        ("forcing", "z_file", "z_preset", parsed["forcing"]["z_preset"]),
+    for section, name in (
+        ("initial", "phi"), ("initial", "theta"), ("initial", "u"), ("forcing", "q"), ("forcing", "z")
     ):
-        if preset == "file":
-            path = parsed[section][key]
+        if parsed[section][f"{name}_preset"] == "file":
+            key, path = f"{name}_file", parsed[section][f"{name}_file"]
             if not path:
-                errors.append(f"[{section}] {key}: required when {preset_key} = file")
+                errors.append(f"[{section}] {key}: required when {name}_preset = file")
             elif not os.path.exists(os.path.join(base_dir, path)):
                 errors.append(f"[{section}] {key}: file not found: {path}")
 

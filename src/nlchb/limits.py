@@ -95,6 +95,31 @@ def _check_eps_list(eps_list) -> list[float]:
     return eps
 
 
+def _kernel_sweep(
+    kind: str, grid: Grid, eps_list, gamma: float, shape_id: str, target: float, measure
+) -> SweepReport:
+    """Table over eps of the columns `measure(kernel, a)` returns, one kernel
+    sampled per eps, plus `abs_error`: |first column - target|."""
+    eps = _check_eps_list(eps_list)
+    mollifier = calibrate_mollifier(gamma, d=2, shape_id=shape_id)
+    columns: dict[str, list[float]] = {}
+    resolved = []
+    for e in eps:
+        kernel = sample_kernel(mollifier, e, grid)
+        for name, value in measure(kernel, compute_a(kernel)).items():
+            columns.setdefault(name, []).append(value)
+        resolved.append(not kernel.under_resolved)
+    columns["abs_error"] = [abs(v - target) for v in next(iter(columns.values()))]
+    return SweepReport(
+        kind=kind,
+        eps=eps,
+        columns=columns,
+        target=target,
+        metadata={"gamma": gamma, "shape": shape_id, "nx": grid.nx, "ny": grid.ny},
+        valid=resolved,
+    )
+
+
 def gamma_sweep(
     grid: Grid,
     phi_test: np.ndarray,
@@ -103,22 +128,9 @@ def gamma_sweep(
     shape_id: str = "bump",
 ) -> SweepReport:
     """Interface-energy convergence table: E_nl^eps(phi) against E_l(phi)."""
-    eps = _check_eps_list(eps_list)
-    mollifier = calibrate_mollifier(gamma, d=2, shape_id=shape_id)
-    target = e_local(grid, phi_test)
-    values, resolved = [], []
-    for e in eps:
-        kernel = sample_kernel(mollifier, e, grid)
-        a = compute_a(kernel)
-        values.append(e_nl(kernel, a, phi_test))
-        resolved.append(not kernel.under_resolved)
-    return SweepReport(
-        kind="gamma_sweep",
-        eps=eps,
-        columns={"e_nl": values, "abs_error": [abs(v - target) for v in values]},
-        target=target,
-        metadata={"gamma": gamma, "shape": shape_id, "nx": grid.nx, "ny": grid.ny},
-        valid=resolved,
+    return _kernel_sweep(
+        "gamma_sweep", grid, eps_list, gamma, shape_id, e_local(grid, phi_test),
+        lambda kernel, a: {"e_nl": e_nl(kernel, a, phi_test)},
     )
 
 
@@ -134,32 +146,16 @@ def weak_operator_check(
 
     The limit of the implemented form is (1/2) int grad phi1 . grad phi2.
     """
-    eps = _check_eps_list(eps_list)
-    mollifier = calibrate_mollifier(gamma, d=2, shape_id=shape_id)
     g1x, g1y = gradient_cc(grid, phi1)
     g2x, g2y = gradient_cc(grid, phi2)
     target = 0.5 * float(np.sum(g1x * g2x + g1y * g2y) * grid.cell_area)
-    forms, sym_defects, resolved = [], [], []
-    for e in eps:
-        kernel = sample_kernel(mollifier, e, grid)
-        a = compute_a(kernel)
+
+    def measure(kernel, a) -> dict[str, float]:
         f12 = float(np.sum((a * phi1 - convolve(kernel, phi1)) * phi2) * grid.cell_area)
         f21 = float(np.sum((a * phi2 - convolve(kernel, phi2)) * phi1) * grid.cell_area)
-        forms.append(f12)
-        sym_defects.append(abs(f12 - f21))
-        resolved.append(not kernel.under_resolved)
-    return SweepReport(
-        kind="weak_operator",
-        eps=eps,
-        columns={
-            "form": forms,
-            "abs_error": [abs(v - target) for v in forms],
-            "symmetry_defect": sym_defects,
-        },
-        target=target,
-        metadata={"gamma": gamma, "shape": shape_id, "nx": grid.nx, "ny": grid.ny},
-        valid=resolved,
-    )
+        return {"form": f12, "symmetry_defect": abs(f12 - f21)}
+
+    return _kernel_sweep("weak_operator", grid, eps_list, gamma, shape_id, target, measure)
 
 
 def _trapezoid_weights(n: int, dt: float) -> np.ndarray:
@@ -213,21 +209,16 @@ def solution_sweep(
             shape_id=shape_id, stabilization=stabilization,
         )
 
-    # with dt auto, the smallest-eps model sets dt and is kept for its own run
-    smallest = None
-    if dt is None:
-        smallest = build("nonlocal", eps[-1])
-        dt = suggest_dt(smallest, state0, safety)
+    ref_model = build("local", eps[0])
+    models = [build("nonlocal", e) for e in eps]
+    if dt is None:  # the smallest eps sets dt
+        dt = suggest_dt(models[-1], state0, safety)
     n_steps = max(1, int(round(t_end / dt)))
     sample_every = max(1, n_steps // max(2, sample_count))
     n_samples = 1 + n_steps // sample_every
     w = _trapezoid_weights(n_samples, sample_every * dt)
     area = grid.cell_area
 
-    ref_model = build("local", eps[0])
-    models = [
-        smallest if e == eps[-1] and smallest is not None else build("nonlocal", e) for e in eps
-    ]
     ledgers = [EnergyLedger() if keep_ledgers else None for _ in eps]
     # current state per member (None once it diverged) and its running sums
     # for the phi, theta and u distances

@@ -194,26 +194,23 @@ def write_ppm(path: str, values: np.ndarray, vmin: float = -1.0, vmax: float = 1
 
 
 class LedgerCsvWriter:
-    """Streaming append-only writer for the per-step ledger CSV."""
+    """Streaming append-only writer for the per-step ledger CSV; the header is
+    written when the file it opens is empty."""
 
     def __init__(self, path: str, append: bool = False):
         self.path = path
-        existing = append and os.path.exists(path)
-        self._fh = open(path, "a" if existing else "w", encoding="utf-8")
-        if not existing:
+        self._fh = open(path, "a" if append else "w", encoding="utf-8")
+        if self._fh.tell() == 0:
             self._fh.write(",".join(LEDGER_COLUMNS) + "\n")
-        self._n = 0
 
     def write_row(self, row: dict) -> None:
         self._fh.write(",".join(repr(float(row[c])) for c in LEDGER_COLUMNS) + "\n")
-        self._n += 1
-        if self._n % 200 == 0:
-            self._fh.flush()
+
+    def flush(self) -> None:
+        self._fh.flush()
 
     def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.flush()
-            self._fh.close()
+        self._fh.close()
 
     def __enter__(self) -> "LedgerCsvWriter":
         return self

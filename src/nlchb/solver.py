@@ -103,8 +103,8 @@ class SimState:
     fields: each is computed the first time a model's step or ledger reads
     it, and kept for later reads under that model (see `_Terms`). The scalar
     terms (E, the interface energy, the energy integrals, max |u|) outlive a
-    step from the state; its grid arrays (J*phi, mu, g . u, the viscous parts)
-    are dropped by `advance` after their last reader in that step, and a later
+    step from the state; its grid arrays (mu, g . u, the viscous parts) are
+    dropped by `advance` after their last reader in that step, and a later
     read computes them again, bit for bit. A read under another model, or
     after phi, theta or vel was reassigned, starts a fresh memo. Arrays
     written in place are not noticed: change a state by assigning new arrays
@@ -237,11 +237,11 @@ class _Terms:
     arrays, not the state, so it makes no reference cycle.
 
     Who holds what: the scalars (`energy`, `interface`, `integrals`, `max_u`)
-    stay for the life of the state. J*phi leaves once both its readers, `mu`
-    and `interface`, have their values. `advance` drops the other grid arrays
-    of its start state after their last reader: `mu` (and J*phi with it)
-    after `step_ch`, `g_dot_u` after `step_heat`, `viscous` after `step_ns`.
-    A dropped term read again is computed again by the same rule.
+    stay for the life of the state. `advance` drops the grid arrays of its
+    start state after their last reader: `mu` after `step_ch`, `g_dot_u`
+    after `step_heat`, `viscous` after `step_ns`. A dropped term read again is
+    computed again by the same rule. J*phi is never kept: `mu` and
+    `interface` each convolve, or `mu_and_interface` gives both from one.
     """
 
     def __init__(self, model: Model, state: SimState):
@@ -249,22 +249,12 @@ class _Terms:
         self.phi, self.theta, self.vel = state.phi, state.theta, state.vel
 
     @functools.cached_property
-    def j_phi(self) -> np.ndarray:
-        return convolve(self.model.kernel, self.phi)
-
-    def _release_j_phi(self, other: str) -> None:
-        """Drop J*phi once `other`, its other reader, has its value too."""
-        if other in self.__dict__:
-            del self.j_phi
-
-    @functools.cached_property
     def mu(self) -> np.ndarray:
         m = self.model
         if m.mode == "local":
             return mu_local(m.grid, self.phi, self.theta, m.potential, m.material)
-        mu = mu_nonlocal(self.phi, self.theta, m.kernel, m.a, m.potential, m.material, self.j_phi)
-        self._release_j_phi("interface")
-        return mu
+        j_phi = convolve(m.kernel, self.phi)
+        return mu_nonlocal(self.phi, self.theta, m.kernel, m.a, m.potential, m.material, j_phi)
 
     @functools.cached_property
     def interface(self) -> float:
@@ -272,9 +262,16 @@ class _Terms:
         m = self.model
         if m.mode == "local":
             return e_local(m.grid, self.phi)
-        e = e_nl(m.kernel, m.a, self.phi, self.j_phi)
-        self._release_j_phi("mu")
-        return e
+        return e_nl(m.kernel, m.a, self.phi)
+
+    def mu_and_interface(self) -> None:
+        """Compute `mu` and `interface` from one J*phi when neither is kept yet
+        (nonlocal mode; the local rules read no J*phi)."""
+        m = self.model
+        if m.mode == "nonlocal" and not {"mu", "interface"} & self.__dict__.keys():
+            j_phi = convolve(m.kernel, self.phi)
+            self.mu = mu_nonlocal(self.phi, self.theta, m.kernel, m.a, m.potential, m.material, j_phi)
+            self.interface = e_nl(m.kernel, m.a, self.phi, j_phi)
 
     @functools.cached_property
     def integrals(self) -> tuple[float, float, float]:
@@ -514,32 +511,14 @@ def step_ns(
 ) -> MacVelocity:
     """Explicit forces + implicit mean viscosity + projection.
 
-    The assembled right-hand side is projected before the viscous solve (and
-    the result projected again after it), so purely gradient forces such as a
-    uniform buoyancy on a constant state leave a resting fluid exactly at rest.
-    `buoy` is buoyancy(phi_next, theta_next). With zero gravity the buoyancy is
+    The explicit right-hand side is zero on the wall faces; each force is
+    added to the interior faces and freed before the next is built. It is
+    projected before the viscous solve (and the result projected again after
+    it), so purely gradient forces such as a uniform buoyancy on a constant
+    state leave a resting fluid exactly at rest. `buoy` is
+    buoyancy(phi_next, theta_next). With zero gravity the buoyancy is
     identically zero, `buoy` is None and nothing is added.
     """
-    g = model.grid
-    rhs = project(g, _momentum_rhs(model, state, phi_next, theta_next, mu_half, dt, q, buoy))
-    den_u, den_v = _sine_denominators(g, 1.0 / dt, model.material.nu_bar)
-    rhs.u[1:-1, :] = _implicit_solve(den_u, 0, rhs.u[1:-1, :])
-    rhs.v[:, 1:-1] = _implicit_solve(den_v, 1, rhs.v[:, 1:-1])
-    return project(g, rhs)
-
-
-def _momentum_rhs(
-    model: Model,
-    state: SimState,
-    phi_next: np.ndarray,
-    theta_next: np.ndarray,
-    mu_half: np.ndarray,
-    dt: float,
-    q: tuple[np.ndarray, np.ndarray] | None,
-    buoy: tuple[np.ndarray, np.ndarray] | None,
-) -> MacVelocity:
-    """The explicit right-hand side of `step_ns`, zero on the wall faces. Each
-    force is added to the interior faces and freed before the next is built."""
     g = model.grid
     mat = model.material
     vel = state.vel
@@ -571,7 +550,13 @@ def _momentum_rhs(
     if q is not None:
         rhs_u += q[0][1:-1, :]
         rhs_v += q[1][:, 1:-1]
-    return rhs
+    # the views would keep the unprojected right-hand side alive
+    del fx, fy, rhs_u, rhs_v
+    rhs = project(g, rhs)
+    den_u, den_v = _sine_denominators(g, 1.0 / dt, mat.nu_bar)
+    rhs.u[1:-1, :] = _implicit_solve(den_u, 0, rhs.u[1:-1, :])
+    rhs.v[:, 1:-1] = _implicit_solve(den_v, 1, rhs.v[:, 1:-1])
+    return project(g, rhs)
 
 
 def suggest_dt(model: Model, state: SimState, safety: float) -> float:
@@ -607,13 +592,14 @@ def _ledger_row(
     """The ledger row of the step to `state_next` from a state of energy
     `e_prev`, from the terms of `state_next` under `model`.
 
-    E is read first, so J*phi leaves as soon as mu has it too. `max_div_u` is
-    the trace dxx + dyy of the deformation the dissipation reads, which is
-    bit for bit `MacVelocity.divergence()`.
+    mu and E come from one J*phi. `max_div_u` is the trace dxx + dyy of the
+    deformation the dissipation reads, which is bit for bit
+    `MacVelocity.divergence()`.
     """
     g = model.grid
     mat = model.material
     terms = _terms(model, state_next)
+    terms.mu_and_interface()
     energy = terms.energy
     f_int, u_sq, theta_sq = terms.integrals
     diss = dissipation(g, terms.mu, state_next.theta, mat, terms.viscous)
@@ -666,16 +652,17 @@ def advance(
 
     Each grid array of `state`'s memo is dropped after its last reader here
     (see `_Terms`), so a step holds as few arrays as its sub-steps need; the
-    scalars stay. With a ledger, E of `state` is read before the step, so its
-    J*phi serves both mu and E and then leaves.
+    scalars stay. With a ledger, mu and E of `state` come from one J*phi.
     """
     forcing = forcing or Forcing()
     g, mat = model.grid, model.material
     terms = _terms(model, state)
-    e_prev = terms.energy if ledger is not None else None
+    if ledger is not None:
+        terms.mu_and_interface()
+        e_prev = terms.energy
 
     phi_next, mu_half = step_ch(model, state, dt)
-    terms.drop("mu", "j_phi")
+    terms.drop("mu")
     theta_next = step_heat(model, state, phi_next, dt, forcing.z)
     terms.drop("g_dot_u")
     buoy = buoyancy(g, mat, phi_next, theta_next) if any(mat.g) else None

@@ -1,6 +1,10 @@
 """End-to-end CLI tests: run, resume determinism, oracle, sweeps, validation."""
 
+import os
 import re
+import shutil
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -32,6 +36,43 @@ cadence = 5
 
 [output]
 directory = {out}
+"""
+
+KILL_RUN = """
+[grid]
+nx = 16
+ny = 16
+
+[kernel]
+epsilon = 0.3
+gamma = 0.5
+
+[solver]
+dt = 1e-4
+t_end = 0.05
+cadence = 50
+
+[output]
+directory = {out}
+write_images = false
+"""
+
+# `python -c KILLED_RUN CONFIG K` runs CONFIG and, as the step from step K
+# begins, ends the process at once, with no buffer flushed and no cleanup.
+KILLED_RUN = """
+import os, sys
+import nlchb.solver
+from nlchb.cli import main
+
+raw, kill_at = nlchb.solver.advance, int(sys.argv[2])
+
+def advance(model, state, *args):
+    if state.step == kill_at:
+        os._exit(3)
+    return raw(model, state, *args)
+
+nlchb.solver.advance = advance
+main(["run", sys.argv[1]])
 """
 
 ORACLE_CFG = """
@@ -217,6 +258,25 @@ class TestResume:
         assert main(["resume", str(out / "snapshot_00000010.bin")]) == 0
         assert (out / "ledger.csv").read_bytes() == ledger
         assert (out / "checkpoint.bin").read_bytes() == checkpoint
+
+    @pytest.mark.parametrize("kill_at", [30, 450])
+    def test_resume_after_kill_writes_the_uninterrupted_ledger(self, tmp_path, kill_at):
+        # every row up to a snapshot is on disk when the snapshot is written,
+        # and a ledger left empty gets its header when the resumed run opens it
+        cfg = write_cfg(tmp_path, KILL_RUN)
+        assert main(["run", cfg]) == 0
+        out = tmp_path / "out"
+        uninterrupted = (out / "ledger.csv").read_bytes()
+        shutil.rmtree(out)
+        src = os.path.dirname(os.path.dirname(nlchb.cli.__file__))
+        killed = subprocess.run(
+            [sys.executable, "-c", KILLED_RUN, cfg, str(kill_at)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        )
+        assert killed.returncode == 3, killed.stderr
+        assert not (out / "checkpoint.bin").exists()
+        assert main(["resume", str(out / f"snapshot_{kill_at // 50 * 50:08d}.bin")]) == 0
+        assert (out / "ledger.csv").read_bytes() == uninterrupted
 
     def test_resume_from_malformed_snapshot_exits_1(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, FAST_RUN)

@@ -22,7 +22,7 @@ from nlchb.grid import (
     helmholtz_solve,
     make_grid,
 )
-from nlchb.physics import MaterialParams
+from nlchb.physics import MaterialParams, buoyancy
 from nlchb.solver import (
     Forcing,
     Model,
@@ -33,6 +33,9 @@ from nlchb.solver import (
     advance,
     integrate,
     project,
+    step_ch,
+    step_heat,
+    step_ns,
 )
 
 SHAPES = [(9, 13), (16, 24), (33, 17), (64, 64)]
@@ -305,6 +308,37 @@ def test_released_terms_read_again_with_the_same_bits(grid32, ledgered):
         assert_same_bits(a, b)
 
 
+def test_memo_keeps_no_array_of_its_own(grid32):
+    # J*phi is never kept: after a step from a state and a read of its E, the
+    # memo holds no grid array but its references to phi and theta
+    model = flow_model(grid32, (0.3, -1.0))
+    state = smooth_flow_state(grid32)
+    advance(model, state, 5e-4)
+    model.total_energy(state)
+
+    def arrays(value):
+        if isinstance(value, tuple):
+            return [a for v in value for a in arrays(v)]
+        return [value] if isinstance(value, np.ndarray) else []
+
+    held = _terms(model, state).__dict__
+    own = [name for name, value in held.items() for a in arrays(value)
+           if a is not state.phi and a is not state.theta]
+    assert own == []
+
+
+def budget_model_and_forcing():
+    """The 32x32 flow with gravity, variable viscosity and a heat source that
+    the live-array budgets are measured on."""
+    grid = make_grid(32, 32, 1.0, 1.0)
+    mat = MaterialParams(
+        K_cap=0.05, l_c=0.5, l_h=0.5, kappa=0.2,
+        nu_min=0.05, nu_max=0.2, alpha1=0.1, alpha2=1.0, g=(0.0, -5.0),
+    )
+    model = Model.build(grid, spinodal_potential(), mat, epsilon=0.2, gamma=0.5)
+    return model, Forcing(z=np.full(grid.shape, 0.1))
+
+
 # Peak of the arrays one warmed-up ledgered step allocates, the memo of the
 # state it makes included, in grid arrays of nx * ny float64. A step that
 # keeps terms past their last reader, or builds its temporaries out of
@@ -313,13 +347,8 @@ STEP_PEAK_ARRAYS = 26
 
 
 def test_ledgered_step_live_arrays_within_budget():
-    grid = make_grid(32, 32, 1.0, 1.0)
-    mat = MaterialParams(
-        K_cap=0.05, l_c=0.5, l_h=0.5, kappa=0.2,
-        nu_min=0.05, nu_max=0.2, alpha1=0.1, alpha2=1.0, g=(0.0, -5.0),
-    )
-    model = Model.build(grid, spinodal_potential(), mat, epsilon=0.2, gamma=0.5)
-    forcing = Forcing(z=np.full(grid.shape, 0.1))
+    model, forcing = budget_model_and_forcing()
+    grid = model.grid
     ledger = EnergyLedger()
     state = advance(model, smooth_flow_state(grid), 1e-5, forcing, ledger)  # per-run caches
     tracemalloc.start()
@@ -331,3 +360,28 @@ def test_ledgered_step_live_arrays_within_budget():
     finally:
         tracemalloc.stop()
     assert peak / (grid.nx * grid.ny * 8) <= STEP_PEAK_ARRAYS
+
+
+# Peak of the arrays `step_ns` alone allocates, in grid arrays, stepping from
+# a state whose viscous parts its ledger row already computed. The ledger row
+# sets the peak of a whole step, so this is where a `step_ns` that keeps its
+# unprojected right-hand side alive through the solves shows: it held 10.6.
+STEP_NS_PEAK_ARRAYS = 10
+
+
+def test_step_ns_live_arrays_within_budget():
+    model, forcing = budget_model_and_forcing()
+    grid, dt = model.grid, 1e-5
+    state = smooth_flow_state(grid)
+    for _ in range(2):  # per-run caches, then a state with a ledgered memo
+        state = advance(model, state, dt, forcing, EnergyLedger())
+    phi_next, mu_half = step_ch(model, state, dt)
+    theta_next = step_heat(model, state, phi_next, dt, forcing.z)
+    buoy = buoyancy(grid, model.material, phi_next, theta_next)
+    tracemalloc.start()
+    try:
+        step_ns(model, state, phi_next, theta_next, mu_half, dt, forcing.q, buoy)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (grid.nx * grid.ny * 8) <= STEP_NS_PEAK_ARRAYS
