@@ -22,6 +22,7 @@ import numpy as np
 from .grid import (
     Grid,
     MacVelocity,
+    face_difference,
     field_integral,
     gradient_cc,
     h1_seminorm,
@@ -144,23 +145,22 @@ def mac_deformation(grid: Grid, vel: MacVelocity) -> tuple[np.ndarray, np.ndarra
     Returns (Dxx, Dyy) at cell centers and Dxy at cell corners; wall values use
     the no-slip antisymmetric ghost so tangential shear at the wall is resolved.
     """
-    dxx = (vel.u[1:] - vel.u[:-1]) / grid.dx
-    dyy = (vel.v[:, 1:] - vel.v[:, :-1]) / grid.dy
+    dxx = face_difference(vel.u, 0, grid.dx)
+    dyy = face_difference(vel.v, 1, grid.dy)
 
     # du/dy at corners (nx+1, ny+1): ghost u = -u across the wall
-    u_pad = np.empty((grid.nx + 1, grid.ny + 2))
-    u_pad[:, 1:-1] = vel.u
-    u_pad[:, 0] = -vel.u[:, 0]
-    u_pad[:, -1] = -vel.u[:, -1]
-    du_dy = (u_pad[:, 1:] - u_pad[:, :-1]) / grid.dy
+    pad = np.empty((grid.nx + 1, grid.ny + 2))
+    pad[:, 1:-1] = vel.u
+    pad[:, 0] = -vel.u[:, 0]
+    pad[:, -1] = -vel.u[:, -1]
+    dxy = face_difference(pad, 1, grid.dy)
 
-    v_pad = np.empty((grid.nx + 2, grid.ny + 1))
-    v_pad[1:-1, :] = vel.v
-    v_pad[0, :] = -vel.v[0, :]
-    v_pad[-1, :] = -vel.v[-1, :]
-    dv_dx = (v_pad[1:] - v_pad[:-1]) / grid.dx
-
-    dxy = 0.5 * (du_dy + dv_dx)
+    pad = np.empty((grid.nx + 2, grid.ny + 1))
+    pad[1:-1, :] = vel.v
+    pad[0, :] = -vel.v[0, :]
+    pad[-1, :] = -vel.v[-1, :]
+    dxy += face_difference(pad, 0, grid.dx)
+    dxy *= 0.5
     return dxx, dyy, dxy
 
 

@@ -22,9 +22,10 @@ __all__ = [
     "dct2_inverse",
     "laplacian_neumann",
     "helmholtz_solve",
+    "face_difference",
+    "face_average",
+    "centers_to_faces",
     "gradient_cc",
-    "centers_to_xfaces",
-    "centers_to_yfaces",
     "field_integral",
     "h1_seminorm",
 ]
@@ -133,8 +134,9 @@ class MacVelocity:
 
     def divergence(self) -> np.ndarray:
         """Discrete divergence at cell centers."""
-        g = self.grid
-        return (self.u[1:] - self.u[:-1]) / g.dx + (self.v[:, 1:] - self.v[:, :-1]) / g.dy
+        out = face_difference(self.u, 0, self.grid.dx)
+        out += face_difference(self.v, 1, self.grid.dy)
+        return out
 
     def max_speed(self) -> float:
         mu = float(np.max(np.abs(self.u))) if self.u.size else 0.0
@@ -195,6 +197,33 @@ def helmholtz_solve(grid: Grid, alpha: float, beta: float, rhs: np.ndarray) -> n
     return dct2_inverse(coeffs)
 
 
+def _along(values: np.ndarray, axis: int, start: int | None, stop: int | None) -> np.ndarray:
+    """The view values[start:stop] along `axis`."""
+    return values[(slice(None),) * axis + (slice(start, stop),)]
+
+
+def face_difference(values: np.ndarray, axis: int, d: float) -> np.ndarray:
+    """(f[1:] - f[:-1]) / d along `axis`, built in one new array: centers to
+    the interior faces normal to `axis`, or those faces to centers."""
+    out = np.subtract(_along(values, axis, 1, None), _along(values, axis, None, -1))
+    out /= d
+    return out
+
+
+def face_average(values: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """0.5 * (f[1:] + f[:-1]) along `axis`, into `out` when given."""
+    out = np.add(_along(values, axis, 1, None), _along(values, axis, None, -1), out=out)
+    out *= 0.5
+    return out
+
+
+def centers_to_faces(values: np.ndarray, axis: int) -> np.ndarray:
+    """Interpolate a cell-centered field to the faces normal to `axis`; the
+    two boundary faces copy their cell."""
+    ends = _along(values, axis, None, 1), _along(values, axis, -1, None)
+    return np.concatenate((ends[0], face_average(values, axis), ends[1]), axis=axis)
+
+
 def gradient_cc(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Centered gradient at cell centers with even-reflection ghost cells.
 
@@ -202,36 +231,16 @@ def gradient_cc(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     the ghost value f[-1] := f[0]; second order for Neumann-compatible fields.
     The input is not checked: NaN and inf carry through to the gradient.
     """
-    gx = np.empty(grid.shape)
-    np.subtract(values[2:], values[:-2], out=gx[1:-1])
-    np.subtract(values[1], values[0], out=gx[0])
-    np.subtract(values[-1], values[-2], out=gx[-1])
-    gx /= 2.0 * grid.dx
-
-    gy = np.empty(grid.shape)
-    np.subtract(values[:, 2:], values[:, :-2], out=gy[:, 1:-1])
-    np.subtract(values[:, 1], values[:, 0], out=gy[:, 0])
-    np.subtract(values[:, -1], values[:, -2], out=gy[:, -1])
-    gy /= 2.0 * grid.dy
-    return gx, gy
-
-
-def centers_to_xfaces(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Interpolate a cell-centered field to x-faces (boundary faces copy the cell)."""
-    out = np.empty((grid.nx + 1, grid.ny))
-    out[1:-1] = 0.5 * (values[1:] + values[:-1])
-    out[0] = values[0]
-    out[-1] = values[-1]
-    return out
-
-
-def centers_to_yfaces(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Interpolate a cell-centered field to y-faces (boundary faces copy the cell)."""
-    out = np.empty((grid.nx, grid.ny + 1))
-    out[:, 1:-1] = 0.5 * (values[:, 1:] + values[:, :-1])
-    out[:, 0] = values[:, 0]
-    out[:, -1] = values[:, -1]
-    return out
+    grads = []
+    for axis, d in enumerate((grid.dx, grid.dy)):
+        grad = np.empty(grid.shape)
+        f, out = values.swapaxes(0, axis), grad.swapaxes(0, axis)
+        np.subtract(f[2:], f[:-2], out=out[1:-1])
+        np.subtract(f[1], f[0], out=out[0])
+        np.subtract(f[-1], f[-2], out=out[-1])
+        grad /= 2.0 * d
+        grads.append(grad)
+    return tuple(grads)
 
 
 def field_integral(grid: Grid, values: np.ndarray) -> float:

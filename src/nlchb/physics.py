@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, centers_to_xfaces, centers_to_yfaces, laplacian_neumann
+from .grid import Grid, centers_to_faces, laplacian_neumann
 from .kernel import KernelGrid, kernel_norms
 
 __all__ = [
@@ -136,7 +136,7 @@ def buoyancy(
         raise ValueError("buoyancy fields must live on the given grid")
     coeff = material.alpha0 + material.alpha1 * phi + material.alpha2 * theta
     gx, gy = material.g
-    return gx * centers_to_xfaces(grid, coeff), gy * centers_to_yfaces(grid, coeff)
+    return gx * centers_to_faces(coeff, 0), gy * centers_to_faces(coeff, 1)
 
 
 def mu_nonlocal(

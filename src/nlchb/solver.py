@@ -48,10 +48,12 @@ from .energy import (
 from .grid import (
     Grid,
     MacVelocity,
-    centers_to_xfaces,
-    centers_to_yfaces,
+    _along,
+    centers_to_faces,
     dct2_inverse,
     dct2_transform,
+    face_average,
+    face_difference,
     helmholtz_solve,
     laplacian_neumann,
 )
@@ -104,7 +106,7 @@ class SimState:
     it, and kept for later reads under that model (see `_Terms`). The scalar
     terms (E, the interface energy, the energy integrals, max |u|) outlive a
     step from the state; its grid arrays (mu, g . u, the viscous parts) are
-    dropped by `advance` after their last reader in that step, and a later
+    dropped after their last reader in that step, and a later
     read computes them again, bit for bit. A read under another model, or
     after phi, theta or vel was reassigned, starts a fresh memo. Arrays
     written in place are not noticed: change a state by assigning new arrays
@@ -204,28 +206,10 @@ class Forcing:
     z: np.ndarray | None = None
 
 
-def _difference(f: np.ndarray, axis: int, d: float) -> np.ndarray:
-    """(f[1:] - f[:-1]) / d along `axis`, built in one new array."""
-    out = np.diff(f, axis=axis)
-    out /= d
-    return out
-
-
-def _midpoint(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """0.5 * (a + b), into `out` when given."""
-    out = np.add(a, b, out=out)
-    out *= 0.5
-    return out
-
-
 def advect_scalar(grid: Grid, vel: MacVelocity, c: np.ndarray) -> np.ndarray:
     """div(u c) in conservative flux form; discrete mass change is exactly zero."""
-    flux = centers_to_xfaces(grid, c)
-    flux *= vel.u
-    out = _difference(flux, 0, grid.dx)
-    flux = centers_to_yfaces(grid, c)
-    flux *= vel.v
-    out += _difference(flux, 1, grid.dy)
+    out = face_difference(centers_to_faces(c, 0) * vel.u, 0, grid.dx)
+    out += face_difference(centers_to_faces(c, 1) * vel.v, 1, grid.dy)
     return out
 
 
@@ -237,9 +221,10 @@ class _Terms:
     arrays, not the state, so it makes no reference cycle.
 
     Who holds what: the scalars (`energy`, `interface`, `integrals`, `max_u`)
-    stay for the life of the state. `advance` drops the grid arrays of its
-    start state after their last reader: `mu` after `step_ch`, `g_dot_u`
-    after `step_heat`, `viscous` after `step_ns`. A dropped term read again is
+    stay for the life of the state. A step drops the grid arrays of its start
+    state after their last reader: `advance` drops `mu` after `step_ch` and
+    `g_dot_u` after `step_heat`, and `step_ns` drops `viscous` after
+    `viscous_remainder`. A dropped term read again is
     computed again by the same rule. J*phi is never kept: `mu` and
     `interface` each convolve, or `mu_and_interface` gives both from one.
     """
@@ -293,9 +278,7 @@ class _Terms:
         gx, gy = self.model.material.g
         if gx == 0.0 and gy == 0.0:
             return 0.0
-        u_c = 0.5 * (self.vel.u[1:, :] + self.vel.u[:-1, :])
-        v_c = 0.5 * (self.vel.v[:, 1:] + self.vel.v[:, :-1])
-        return gx * u_c + gy * v_c
+        return gx * face_average(self.vel.u, 0) + gy * face_average(self.vel.v, 1)
 
     @functools.cached_property
     def max_u(self) -> float:
@@ -397,32 +380,26 @@ def momentum_advection(grid: Grid, vel: MacVelocity) -> tuple[np.ndarray, np.nda
     """Flux-form self-advection with midpoint interpolation on interior faces.
 
     With a discretely divergence-free carrier this form is skew-symmetric:
-    <adv(u), u> = 0 up to rounding.
+    <adv(u), u> = 0 up to rounding. One body serves both components: w, on
+    the faces normal to `axis`, is carried by itself along `axis` (fluxes at
+    cell centers) and by the other component c across it (fluxes at interior
+    corners, zero on the walls).
     """
-    u, v = vel.u, vel.v
-    dx, dy = grid.dx, grid.dy
-
-    # u-momentum: east/west fluxes at cell centers, north/south at corners
-    flux = _midpoint(u[:-1, :], u[1:, :])           # (nx, ny) carrier and transported
-    flux *= flux
-    adv_u = _difference(flux, 0, dx)                # (nx-1, ny)
-    carrier = _midpoint(v[:-1, :], v[1:, :])        # (nx-1, ny+1) carrier at interior corners
-    flux = np.zeros((grid.nx - 1, grid.ny + 1))     # transported u at corners; walls stay 0
-    _midpoint(u[1:-1, 1:], u[1:-1, :-1], out=flux[:, 1:-1])
-    flux *= carrier
-    adv_u += _difference(flux, 1, dy)
-
-    # v-momentum
-    flux = _midpoint(v[:, :-1], v[:, 1:])           # (nx, ny)
-    flux *= flux
-    adv_v = _difference(flux, 1, dy)                # (nx, ny-1)
-    carrier = _midpoint(u[:, 1:], u[:, :-1])        # (nx+1, ny-1) carrier at interior corners
-    flux = np.zeros((grid.nx + 1, grid.ny - 1))     # transported v at corners; walls stay 0
-    _midpoint(v[1:, 1:-1], v[:-1, 1:-1], out=flux[1:-1, :])
-    flux *= carrier
-    adv_v += _difference(flux, 0, dx)
-
-    return adv_u, adv_v
+    d = (grid.dx, grid.dy)
+    out = []
+    for axis, (w, c) in enumerate(((vel.u, vel.v), (vel.v, vel.u))):
+        across = 1 - axis
+        carrier = face_average(c, axis)
+        flux = np.zeros(carrier.shape)
+        face_average(_along(w, axis, 1, -1), across, out=_along(flux, across, 1, -1))
+        flux *= carrier
+        del carrier
+        adv = face_difference(flux, across, d[across])
+        flux = face_average(w, axis)
+        flux *= flux
+        adv += face_difference(flux, axis, d[axis])
+        out.append(adv)
+    return tuple(out)
 
 
 def viscous_remainder(
@@ -434,18 +411,17 @@ def viscous_remainder(
     and the deformation.
     """
     nu_centers, nu_corners, (dxx, dyy, dxy) = viscous
-    two_dnu = nu_centers - nu_bar
-    two_dnu *= 2.0
-    stress = two_dnu * dxx                          # txx
-    rem_u = _difference(stress, 0, grid.dx)
-    np.multiply(two_dnu, dyy, out=stress)           # tyy
-    rem_v = _difference(stress, 1, grid.dy)
+    stress = nu_centers - nu_bar
+    stress *= 2.0                                   # 2 (nu - nu_bar) at centers
+    rem_u = face_difference(stress * dxx, 0, grid.dx)
+    stress *= dyy                                   # tyy
+    rem_v = face_difference(stress, 1, grid.dy)
 
     stress = nu_corners - nu_bar
     stress *= 2.0
     stress *= dxy                                   # txy
-    rem_u += _difference(stress[1:-1, :], 1, grid.dy)
-    rem_v += _difference(stress[:, 1:-1], 0, grid.dx)
+    rem_u += face_difference(stress[1:-1, :], 1, grid.dy)
+    rem_v += face_difference(stress[:, 1:-1], 0, grid.dx)
     return rem_u, rem_v
 
 
@@ -462,13 +438,13 @@ def korteweg_force(
     scal = material.l_c * theta
     np.subtract(mu_half, scal, out=scal)
     scal *= material.K_cap
-    fx = _midpoint(scal[1:], scal[:-1])
-    fx *= np.diff(phi, axis=0)
-    fx /= grid.dx
-    fy = _midpoint(scal[:, 1:], scal[:, :-1])
-    fy *= np.diff(phi, axis=1)
-    fy /= grid.dy
-    return fx, fy
+    forces = []
+    for axis, d in enumerate((grid.dx, grid.dy)):
+        force = face_average(scal, axis)
+        force *= np.diff(phi, axis=axis)
+        force /= d
+        forces.append(force)
+    return tuple(forces)
 
 
 @functools.lru_cache(maxsize=16)
@@ -494,8 +470,8 @@ def project(grid: Grid, vel: MacVelocity) -> MacVelocity:
     psi = dct2_inverse(coeffs)
     del coeffs
     out = vel.copy()
-    out.u[1:-1, :] -= _difference(psi, 0, grid.dx)
-    out.v[:, 1:-1] -= _difference(psi, 1, grid.dy)
+    out.u[1:-1, :] -= face_difference(psi, 0, grid.dx)
+    out.v[:, 1:-1] -= face_difference(psi, 1, grid.dy)
     return out
 
 
@@ -511,9 +487,11 @@ def step_ns(
 ) -> MacVelocity:
     """Explicit forces + implicit mean viscosity + projection.
 
-    The explicit right-hand side is zero on the wall faces; each force is
-    added to the interior faces and freed before the next is built. It is
-    projected before the viscous solve (and the result projected again after
+    The explicit right-hand side is zero on the wall faces. The viscous
+    remainder and the advection are built before it, so that the viscous
+    parts are dropped before anything else is held; each force is added to
+    the interior faces and freed before the next is built. It is projected
+    before the viscous solve (and the result projected again after
     it), so purely gradient forces such as a uniform buoyancy on a constant
     state leave a resting fluid exactly at rest. `buoy` is
     buoyancy(phi_next, theta_next). With zero gravity the buoyancy is
@@ -523,39 +501,37 @@ def step_ns(
     mat = model.material
     vel = state.vel
     terms = _terms(model, state)
+    moving = terms.max_u > 0.0
+    rem = None
+    if moving and mat.nu_max > mat.nu_min:
+        rem = viscous_remainder(g, terms.viscous, mat.nu_bar)
+    terms.drop("viscous")  # after its one reader
+    adv = momentum_advection(g, vel) if moving else None
 
     rhs = MacVelocity(g)
-    rhs_u, rhs_v = rhs.u[1:-1, :], rhs.v[:, 1:-1]
-    np.divide(vel.u[1:-1, :], dt, out=rhs_u)
-    np.divide(vel.v[:, 1:-1], dt, out=rhs_v)
+    inner = [_along(w, axis, 1, -1) for axis, w in enumerate((rhs.u, rhs.v))]
+    for axis, (w, w_old) in enumerate(zip(inner, (vel.u, vel.v))):
+        np.divide(_along(w_old, axis, 1, -1), dt, out=w)
+        if adv is not None:
+            w -= adv[axis]
+        if rem is not None:
+            w += rem[axis]
+    del adv, rem
 
-    if terms.max_u > 0.0:
-        fx, fy = momentum_advection(g, vel)
-        rhs_u -= fx
-        rhs_v -= fy
-        del fx, fy
-        if mat.nu_max > mat.nu_min:
-            fx, fy = viscous_remainder(g, terms.viscous, mat.nu_bar)
-            rhs_u += fx
-            rhs_v += fy
-            del fx, fy
-
-    fx, fy = korteweg_force(g, mat, mu_half, theta_next, phi_next)
-    if any(mat.g):
-        bx, by = buoy
-        fx += bx[1:-1, :]
-        fy += by[:, 1:-1]
-    rhs_u += fx
-    rhs_v += fy
-    if q is not None:
-        rhs_u += q[0][1:-1, :]
-        rhs_v += q[1][:, 1:-1]
+    force = korteweg_force(g, mat, mu_half, theta_next, phi_next)
+    for axis, (w, f) in enumerate(zip(inner, force)):
+        if any(mat.g):
+            f += _along(buoy[axis], axis, 1, -1)
+        w += f
+        if q is not None:
+            w += _along(q[axis], axis, 1, -1)
     # the views would keep the unprojected right-hand side alive
-    del fx, fy, rhs_u, rhs_v
+    del force, f, inner, w
     rhs = project(g, rhs)
-    den_u, den_v = _sine_denominators(g, 1.0 / dt, mat.nu_bar)
-    rhs.u[1:-1, :] = _implicit_solve(den_u, 0, rhs.u[1:-1, :])
-    rhs.v[:, 1:-1] = _implicit_solve(den_v, 1, rhs.v[:, 1:-1])
+    dens = _sine_denominators(g, 1.0 / dt, mat.nu_bar)
+    for axis, w in enumerate((rhs.u, rhs.v)):
+        w = _along(w, axis, 1, -1)
+        w[...] = _implicit_solve(dens[axis], axis, w)
     return project(g, rhs)
 
 
@@ -668,7 +644,6 @@ def advance(
     buoy = buoyancy(g, mat, phi_next, theta_next) if any(mat.g) else None
     vel_next = step_ns(model, state, phi_next, theta_next, mu_half, dt, forcing.q, buoy)
     del mu_half
-    terms.drop("viscous")
     fields = {"phi": phi_next, "theta": theta_next, "u": vel_next.u, "v": vel_next.v}
     bad = [name for name, x in fields.items() if not np.isfinite(x).all()]
     if bad:

@@ -87,20 +87,26 @@ def grid32():
     return make_grid(32, 32, 1.0, 1.0)
 
 
-def count_calls(monkeypatch, raw):
-    """Wrap the function `raw` at every nlchb binding, module attributes and
-    methods of the classes they hold; returns the list of calls' arguments."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return raw(*args, **kwargs)
-
+def patch_everywhere(monkeypatch, raw, replacement):
+    """Replace the function `raw` at every nlchb binding, module attributes and
+    methods of the classes they hold."""
     for name, module in list(sys.modules.items()):
         if module is not None and (name == "nlchb" or name.startswith("nlchb.")):
             classes = [v for v in vars(module).values() if isinstance(v, type)]
             for owner in [module, *classes]:
                 for key, value in list(vars(owner).items()):
                     if value is raw:
-                        monkeypatch.setattr(owner, key, counted)
+                        monkeypatch.setattr(owner, key, replacement)
+
+
+def count_calls(monkeypatch, raw):
+    """Wrap the function `raw` at every nlchb binding (see `patch_everywhere`);
+    returns the list of calls' arguments."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return raw(*args, **kwargs)
+
+    patch_everywhere(monkeypatch, raw, counted)
     return calls

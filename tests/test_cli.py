@@ -302,6 +302,24 @@ class TestResume:
         assert len(err) == 1 and err[0].startswith("error:") and "non-finite t" in err[0]
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    @pytest.mark.parametrize(
+        "config_text, message",
+        [
+            (None, "checkpoint carries no embedded config; cannot resume"),
+            ("[grid]\nnx = 16\nny = 16\n[solver]\ndt = auto\n",
+             "checkpoint carries no step size and config dt is auto"),
+        ],
+    )
+    def test_resume_refusals_exit_1_writing_nothing(self, tmp_path, monkeypatch, capsys,
+                                                    config_text, message):
+        monkeypatch.setenv("NLCHB_OUTPUT_DIR", str(tmp_path / "out"))
+        grid = make_grid(16, 16, 1.0, 1.0)
+        path = tmp_path / "snapshot.bin"
+        write_snapshot(str(path), spinodal_state(grid), grid, config_text=config_text)
+        assert main(["resume", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
     def test_resume_already_finished(self, tmp_path):
         cfg = write_cfg(tmp_path, FAST_RUN)
         assert main(["run", cfg]) == 0

@@ -94,6 +94,29 @@ class TestErrors:
         cfg = parse_config("[solver]\ndt = AUTO\nstabilization = 2.5\nt_end = 1e-2\n")
         assert cfg.dt is None and cfg.stabilization == 2.5 and cfg.t_end == 1e-2
 
+    @pytest.mark.parametrize(
+        "text, errors",
+        [
+            ("[nosuch]\nx = 1\n",
+             ["line 1: unknown section [nosuch]", "line 2: key 'x' outside any known section"]),
+            ("[grid]\nnx 16\n", ["line 2: expected 'key = value', got 'nx 16'"]),
+            ("nx = 16\n", ["line 1: key 'nx' outside any known section"]),
+            ("[solver]\nt_end = 0\n", ["[solver] t_end: must be positive, got 0.0"]),
+            ("[solver]\nsafety = 0\n", ["[solver] safety: must lie in (0, 1], got 0.0"]),
+            ("[solver]\nsafety = 1.5\n", ["[solver] safety: must lie in (0, 1], got 1.5"]),
+            ("[solver]\ncadence = 0\n", ["[solver] cadence: must be >= 1, got 0"]),
+            ("[solver]\nstabilization = -1\n",
+             ["[solver] stabilization: must be nonnegative or 'auto'"]),
+            ("[initial]\ntheta_preset = file\n",
+             ["[initial] theta_file: required when theta_preset = file"]),
+            ("[forcing]\nq_preset = file\n", ["[forcing] q_file: required when q_preset = file"]),
+        ],
+    )
+    def test_each_rule_reports_exactly_its_error(self, text, errors):
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert info.value.errors == errors
+
     def test_bad_type_reported_with_location(self):
         with pytest.raises(ConfigError) as info:
             parse_config("[grid]\nnx = many\n")
@@ -159,3 +182,50 @@ class TestBuilders:
         z = forcing.z
         assert np.all(z == 2.0)
         assert forcing.q is None
+
+    def test_file_theta_and_q(self, tmp_path):
+        from nlchb.grid import MacVelocity, make_grid
+        from nlchb.snapshots import write_snapshot
+        from nlchb.solver import SimState
+
+        grid = make_grid(16, 12, 1.0, 0.75)
+        rng = np.random.default_rng(6)
+        vel = MacVelocity(grid)
+        vel.u[1:-1, :] = rng.standard_normal((grid.nx - 1, grid.ny))
+        vel.v[:, 1:-1] = rng.standard_normal((grid.nx, grid.ny - 1))
+        donor = SimState(
+            t=0.1, step=3, phi=rng.standard_normal(grid.shape),
+            theta=rng.standard_normal(grid.shape), vel=vel,
+        )
+        write_snapshot(str(tmp_path / "donor.bin"), donor, grid)
+        text = (
+            "[grid]\nnx = 16\nny = 12\nly = 0.75\n"
+            "[initial]\ntheta_preset = file\ntheta_file = donor.bin\n"
+            "[forcing]\nq_preset = file\nq_file = donor.bin\n"
+        )
+        cfg = parse_config(text, base_dir=str(tmp_path))
+        state = cfg.initial_state()
+        assert np.array_equal(state.theta, donor.theta)
+        assert not state.vel.u.any() and not state.vel.v.any()  # u preset still zero
+        qx, qy = cfg.forcing().q
+        assert np.array_equal(qx, vel.u) and np.array_equal(qy, vel.v)
+
+    def test_forcing_q_constant(self):
+        cfg = parse_config(
+            "[grid]\nnx = 16\nny = 12\n[forcing]\nq_preset = constant\nq_x = 1.5\nq_y = -2.0\n"
+        )
+        forcing = cfg.forcing()
+        qx, qy = forcing.q
+        assert qx.shape == (17, 12) and np.all(qx == 1.5)
+        assert qy.shape == (16, 13) and np.all(qy == -2.0)
+        assert forcing.z is None
+
+    def test_forcing_z_single_mode(self):
+        cfg = parse_config(
+            "[grid]\nnx = 16\nny = 12\nlx = 2.0\n"
+            "[forcing]\nz_preset = single_mode\nz_amplitude = 3.0\nz_kx = 2\nz_ky = 1\n"
+        )
+        X, Y = cfg.grid.cell_centers()
+        z = cfg.forcing().z
+        assert np.array_equal(z, 3.0 * np.cos(np.pi * 2 * X / 2.0) * np.cos(np.pi * Y / 1.0))
+        assert z.shape == (16, 12) and np.abs(z).max() > 2.5

@@ -729,6 +729,14 @@ class TestSuggestDt:
         dt2 = suggest_dt(model, state, 0.4)
         assert dt1 == pytest.approx(2.0 * dt2, rel=1e-12)
 
+    def test_variable_viscosity_bound(self):
+        # explicit-viscous bound min(dx, dy)^2 / (4 dnu), dnu = (nu_max - nu_min) / 2
+        grid = make_grid(16, 24, 1.0, 0.5)
+        mat = MaterialParams(K_cap=0.05, l_c=0.5, l_h=0.5, kappa=1.0, nu_min=0.1, nu_max=10.1)
+        model = build_model(grid, mode="local", mat=mat)
+        state = spinodal_state(grid)
+        assert suggest_dt(model, state, 0.4) == 0.4 * (grid.dy**2 / (4.0 * 5.0))
+
     def test_local_mode_capped(self, grid32):
         model = build_model(grid32, mode="local")
         state = SimState(
