@@ -40,7 +40,7 @@ import scipy  # noqa: E402
 import nlchb.solver  # noqa: E402
 from nlchb.config import parse_config  # noqa: E402
 from nlchb.energy import EnergyLedger  # noqa: E402
-from nlchb.solver import integrate, suggest_dt  # noqa: E402
+from nlchb.solver import Model, integrate, suggest_dt  # noqa: E402
 
 CONFIGS = ("spinodal", "convection")
 NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
@@ -58,7 +58,7 @@ def end_state(name: str, phi_ulp: tuple[int, int] | None = None, c_eta_ulp: int 
 
     nlchb.solver.calibrate_mollifier = moved if c_eta_ulp else raw
     try:
-        model = config.build_model()
+        model = Model.build(config)
     finally:
         nlchb.solver.calibrate_mollifier = raw
     state = config.initial_state()

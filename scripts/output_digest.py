@@ -15,7 +15,10 @@ to its own directory under OUTDIR (which must not exist yet):
 
 Prints one `md5  relative-path` line per file written, sorted by path, then
 one `md5  stdout:<command>` line per command, with OUTDIR masked in the text
-hashed. Two checkouts that write the same bytes print the same lines.
+hashed. A snapshot (`.bin`) gets two lines, `relative-path:header` for its
+header through the `end` line and `relative-path:payload` for its fields, so
+a change to the header alone shows only in header lines. Two checkouts that
+write the same bytes print the same lines.
 
 With `--against REV` it exports the commit REV of this repository with
 `git archive` into a temporary directory, runs this script's own copy there,
@@ -73,8 +76,14 @@ def digest(outdir: Path) -> list[str]:
     snapshot = outdir / "spinodal" / "snapshot_00000200.bin"
     stdout["resume"] = run("resume", ["resume", str(snapshot)], outdir)
 
-    files = sorted(p for p in outdir.rglob("*") if p.is_file())
-    lines = [f"{md5(path.read_bytes())}  {path.relative_to(outdir)}" for path in files]
+    lines = []
+    for path in sorted(p for p in outdir.rglob("*") if p.is_file()):
+        name, data = path.relative_to(outdir), path.read_bytes()
+        if path.suffix == ".bin":  # the header through "end", then the payload
+            cut = data.index(b"\nend\n") + len(b"\nend\n")
+            lines += [f"{md5(data[:cut])}  {name}:header", f"{md5(data[cut:])}  {name}:payload"]
+        else:
+            lines.append(f"{md5(data)}  {name}")
     for name, text in stdout.items():
         lines.append(f"{md5(text.replace(str(outdir), 'OUTDIR').encode())}  stdout:{name}")
     return lines

@@ -13,6 +13,6 @@ step it and run the limit studies; everything else lives in the submodules.
 from .config import ConfigError, RunConfig, parse_config
 from .energy import EnergyLedger
 from .limits import gamma_sweep, solution_sweep, weak_operator_check
-from .solver import BlowUpError, Forcing, Model, SimState, integrate
+from .solver import BlowUpError, Forcing, Model, ModelSpec, SimState, integrate
 
 __version__ = "0.1.0"

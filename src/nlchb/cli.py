@@ -47,16 +47,7 @@ def _output_dir(config: RunConfig) -> str:
 
 def _save(config: RunConfig, path: str, state: SimState, dt: float) -> None:
     """Snapshot of `state` that embeds the run config and dt, so it can be resumed."""
-    write_snapshot(
-        path,
-        state,
-        config.grid,
-        mode=config.mode,
-        epsilon=config.epsilon,
-        gamma=config.gamma,
-        config_text=config.raw_text,
-        dt=dt,
-    )
+    write_snapshot(path, state, config.grid, config_text=config.raw_text, dt=dt)
 
 
 def _emit_outputs(config: RunConfig, outdir: str, state: SimState, dt: float) -> None:
@@ -116,7 +107,7 @@ def _run_loop(
 def cmd_run(config_path: str) -> int:
     config = _load_config(config_path)
     outdir = _output_dir(config)
-    model = config.build_model()
+    model = Model.build(config)
     lines = validate_assumptions(model.kernel, model.a, config.potential, config.material).lines()
     print("\n".join(lines))
     with open(os.path.join(outdir, "validation.txt"), "w", encoding="utf-8") as fh:
@@ -140,7 +131,7 @@ def cmd_resume(checkpoint_path: str) -> int:
         meta["config_text"], base_dir=os.path.dirname(os.path.abspath(checkpoint_path))
     )
     outdir = _output_dir(config)
-    model = config.build_model()
+    model = Model.build(config)
     dt = meta.get("dt")
     if dt is None or dt <= 0.0:
         dt = config.dt
@@ -159,7 +150,7 @@ def cmd_resume(checkpoint_path: str) -> int:
 
 def cmd_validate(config_path: str) -> int:
     config = _load_config(config_path)
-    model = config.build_model()
+    model = Model.build(config)
     report = validate_assumptions(model.kernel, model.a, config.potential, config.material)
     print("\n".join(report.lines()))
     return 0

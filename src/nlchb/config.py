@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, MacVelocity, make_grid
+from .grid import MacVelocity, make_grid
 from .physics import MaterialParams, PotentialParams
 from .snapshots import read_snapshot
-from .solver import Forcing, Model, SimState
+from .solver import Forcing, ModelSpec, SimState
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "DEFAULT_CONFIG_TEXT"]
 
@@ -135,20 +135,13 @@ def _convert(kind: str, raw: str):
     return raw
 
 
-@dataclass
-class RunConfig:
-    """Validated run configuration with builders for the solver objects."""
+@dataclass(frozen=True, kw_only=True)
+class RunConfig(ModelSpec):
+    """Validated run configuration: the model spec (`Model.build(config)`), time
+    stepping and output, with builders for the initial state and the forcing."""
 
-    grid: Grid
-    potential: PotentialParams
-    material: MaterialParams
-    mode: str
-    epsilon: float
-    gamma: float
-    shape_id: str
     dt: float | None
     t_end: float
-    stabilization: float | None
     safety: float
     cadence: int
     initial: dict
@@ -157,18 +150,6 @@ class RunConfig:
     seed: int
     raw_text: str = ""
     base_dir: str = "."
-
-    def build_model(self) -> Model:
-        return Model.build(
-            self.grid,
-            self.potential,
-            self.material,
-            mode=self.mode,
-            epsilon=self.epsilon,
-            gamma=self.gamma,
-            shape_id=self.shape_id,
-            stabilization=self.stabilization,
-        )
 
     def _from_file(self, spec: dict, key: str) -> SimState:
         """The snapshot named by `spec[key]`, relative to the config's directory."""
@@ -326,6 +307,8 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         errors.append(f"[solver] cadence: must be >= 1, got {s['cadence']}")
     if s["stabilization"] is not None and s["stabilization"] < 0.0:
         errors.append(f"[solver] stabilization: must be nonnegative or 'auto'")
+    if parsed["run"]["seed"] < 0:
+        errors.append(f"[run] seed: must be nonnegative, got {parsed['run']['seed']}")
 
     for section, name in (
         ("initial", "phi"), ("initial", "theta"), ("initial", "u"), ("forcing", "q"), ("forcing", "z")

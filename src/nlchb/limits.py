@@ -14,7 +14,7 @@ Convergence is reported as error and ratio tables, never as fitted rates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .energy import EnergyLedger, e_local, e_nl
 from .grid import Grid, gradient_cc
 from .kernel import calibrate_mollifier, compute_a, convolve, sample_kernel
 from .physics import MaterialParams, PotentialParams
-from .solver import BlowUpError, Model, SimState, integrate, suggest_dt
+from .solver import BlowUpError, Model, ModelSpec, SimState, integrate, suggest_dt
 
 __all__ = [
     "SweepReport",
@@ -203,14 +203,11 @@ def solution_sweep(
     """
     eps = _check_eps_list(eps_list)
 
-    def build(mode: str, e: float) -> Model:
-        return Model.build(
-            grid, potential, material, mode=mode, epsilon=e, gamma=gamma,
-            shape_id=shape_id, stabilization=stabilization,
-        )
-
-    ref_model = build("local", eps[0])
-    models = [build("nonlocal", e) for e in eps]
+    spec = ModelSpec(
+        grid, potential, material, gamma=gamma, shape_id=shape_id, stabilization=stabilization
+    )
+    ref_model = Model.build(replace(spec, mode="local", epsilon=eps[0]))
+    models = [Model.build(replace(spec, epsilon=e)) for e in eps]
     if dt is None:  # the smallest eps sets dt
         dt = suggest_dt(models[-1], state0, safety)
     n_steps = max(1, int(round(t_end / dt)))

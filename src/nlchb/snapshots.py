@@ -1,10 +1,11 @@
 """Bit-exact state snapshots, PPM image emission, and the streaming ledger CSV.
 
 Snapshot format: the magic line "NLCHB1\n", a short text header (grid, time,
-mode, kernel parameters, field shapes, optionally the embedded run config),
-the literal line "end", then each field as row-major little-endian float64 in
-the declared order. Floats in the header are written with repr() and parse
-back bit-identically.
+step, dt, field shapes, optionally the embedded run config, which holds the
+model parameters), the literal line "end", then each field as row-major
+little-endian float64 in the declared order. Floats in the header are written
+with repr() and parse back bit-identically. Older headers also carry `mode`,
+`epsilon` and `gamma` on the time line; reading ignores them.
 """
 
 from __future__ import annotations
@@ -47,15 +48,10 @@ def write_snapshot(
     path: str,
     state: SimState,
     grid: Grid,
-    mode: str = "nonlocal",
-    epsilon: float = 0.0,
-    gamma: float = 0.0,
     config_text: str | None = None,
     dt: float | None = None,
 ) -> None:
-    state_line = (
-        f"t={state.t!r} step={state.step} mode={mode} epsilon={epsilon!r} gamma={gamma!r}"
-    )
+    state_line = f"t={state.t!r} step={state.step}"
     if dt is not None:
         state_line += f" dt={dt!r}"
     fields = _field_list(grid)
@@ -114,15 +110,8 @@ def read_snapshot(path: str, grid: Grid | None = None) -> tuple[SimState, dict]:
         nx, ny = int(gridkv["nx"]), int(gridkv["ny"])
         lx, ly = float(gridkv["lx"]), float(gridkv["ly"])
         t, step = float(statekv["t"]), int(statekv["step"])
-        meta = {
-            "mode": statekv.get("mode", "nonlocal"),
-            "epsilon": float(statekv.get("epsilon", "0.0")),
-            "gamma": float(statekv.get("gamma", "0.0")),
-            "dt": float(statekv["dt"]) if "dt" in statekv else None,
-            "config_text": None,
-        }
-        numbers = {"t": t, "dt": meta["dt"], "epsilon": meta["epsilon"],
-                   "gamma": meta["gamma"], "lx": lx, "ly": ly}
+        meta = {"dt": float(statekv["dt"]) if "dt" in statekv else None, "config_text": None}
+        numbers = {"t": t, "dt": meta["dt"], "lx": lx, "ly": ly}
         bad = [k for k, v in numbers.items() if v is not None and not math.isfinite(v)]
         if bad:
             raise ValueError(f"non-finite {', '.join(bad)}")

@@ -70,6 +70,7 @@ __all__ = [
     "BlowUpError",
     "InvariantError",
     "SimState",
+    "ModelSpec",
     "Model",
     "Forcing",
     "step_ch",
@@ -131,6 +132,23 @@ class SimState:
         )
 
 
+@dataclass(frozen=True)
+class ModelSpec:
+    """What a model is built from: grid, physics, interface mode, the kernel
+    J_eps (epsilon, gamma, mollifier shape) and the stabilization S (None ->
+    `default_stabilization`). The limit studies vary `mode` and `epsilon`
+    with `dataclasses.replace`."""
+
+    grid: Grid
+    potential: PotentialParams
+    material: MaterialParams
+    mode: str = "nonlocal"
+    epsilon: float = 0.1
+    gamma: float = 0.5
+    shape_id: str = "bump"
+    stabilization: float | None = None
+
+
 @dataclass
 class Model:
     """Grid, physics, kernel data, and the resolved stabilization constant."""
@@ -144,36 +162,26 @@ class Model:
     stabilization: float = 0.0
 
     @classmethod
-    def build(
-        cls,
-        grid: Grid,
-        potential: PotentialParams,
-        material: MaterialParams,
-        *,
-        mode: str = "nonlocal",
-        epsilon: float = 0.1,
-        gamma: float = 0.5,
-        shape_id: str = "bump",
-        stabilization: float | None = None,  # None -> default rule
-    ) -> "Model":
-        if mode not in ("nonlocal", "local"):
-            raise ValueError(f"unknown mode {mode!r}")
-        if stabilization is not None and stabilization < 0.0:
+    def build(cls, spec: ModelSpec) -> "Model":
+        """Calibrate the mollifier, sample J_eps and a(x) (nonlocal mode), resolve S."""
+        if spec.mode not in ("nonlocal", "local"):
+            raise ValueError(f"unknown mode {spec.mode!r}")
+        if spec.stabilization is not None and spec.stabilization < 0.0:
             raise ValueError("stabilization must be nonnegative")
         kernel = None
         a = None
-        if mode == "nonlocal":
-            mollifier = calibrate_mollifier(gamma, d=2, shape_id=shape_id)
-            kernel = sample_kernel(mollifier, epsilon, grid)
+        if spec.mode == "nonlocal":
+            mollifier = calibrate_mollifier(spec.gamma, d=2, shape_id=spec.shape_id)
+            kernel = sample_kernel(mollifier, spec.epsilon, spec.grid)
             a = compute_a(kernel)
-        S = stabilization
+        S = spec.stabilization
         if S is None:
-            S = default_stabilization(potential, a)
+            S = default_stabilization(spec.potential, a)
         return cls(
-            grid=grid,
-            potential=potential,
-            material=material,
-            mode=mode,
+            grid=spec.grid,
+            potential=spec.potential,
+            material=spec.material,
+            mode=spec.mode,
             kernel=kernel,
             a=a,
             stabilization=float(S),

@@ -23,7 +23,7 @@ from nlchb.kernel import (
 )
 from nlchb.limits import gamma_sweep, solution_sweep, weak_operator_check
 from nlchb.physics import validate_assumptions
-from nlchb.solver import Model, integrate, step_ch, step_heat, suggest_dt
+from nlchb.solver import Model, ModelSpec, integrate, step_ch, step_heat, suggest_dt
 from test_kernel import double_sum_energy
 
 GAMMA = 0.5
@@ -39,9 +39,9 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 def _spinodal_model(grid, eps=SPINODAL_EPS, mode="nonlocal"):
-    return Model.build(
+    return Model.build(ModelSpec(
         grid, spinodal_potential(), spinodal_material(), mode=mode, epsilon=eps, gamma=GAMMA
-    )
+    ))
 
 
 @pytest.fixture(scope="module")
@@ -211,8 +211,8 @@ class TestCriterion09Order:
 
         grid = make_grid(64, 64, 1.0, 1.0)
         model = Model.build(
-            grid, PotentialParams(eta_f=1.0), spinodal_material(),
-            mode="nonlocal", epsilon=SPINODAL_EPS, gamma=GAMMA,
+            ModelSpec(grid, PotentialParams(eta_f=1.0), spinodal_material(),
+                      mode="nonlocal", epsilon=SPINODAL_EPS, gamma=GAMMA)
         )
         h, T = 1.25e-5, 2e-3
         ends = [integrate(model, smooth_flow_state(grid), mult * h, T).phi for mult in (4, 2, 1)]
@@ -319,9 +319,6 @@ class TestCriterion13Determinism:
             ckpt,
             state,
             meta["grid"],
-            mode=meta["mode"],
-            epsilon=meta["epsilon"],
-            gamma=meta["gamma"],
             config_text=meta["config_text"].replace("t_end = 1e-2", "t_end = 2e-2"),
             dt=meta["dt"],
         )

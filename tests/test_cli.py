@@ -230,9 +230,6 @@ class TestResume:
             half_ckpt,
             state,
             meta["grid"],
-            mode=meta["mode"],
-            epsilon=meta["epsilon"],
-            gamma=meta["gamma"],
             config_text=meta["config_text"].replace("t_end = 1e-2", "t_end = 2e-2"),
             dt=meta["dt"],
         )
@@ -256,6 +253,23 @@ class TestResume:
         with open(out / "ledger.csv", "a", encoding="utf-8") as fh:
             fh.write("0.0")  # a row torn by a killed run; its prefix parses as t = 0
         assert main(["resume", str(out / "snapshot_00000010.bin")]) == 0
+        assert (out / "ledger.csv").read_bytes() == ledger
+        assert (out / "checkpoint.bin").read_bytes() == checkpoint
+
+    def test_resume_from_old_header_bit_exact(self, tmp_path):
+        # a snapshot whose header still carries mode, epsilon and gamma, as
+        # headers did before they were dropped, resumes to the same bytes
+        cfg = write_cfg(tmp_path, FAST_RUN)
+        assert main(["run", cfg]) == 0
+        out = tmp_path / "out"
+        ledger = (out / "ledger.csv").read_bytes()
+        checkpoint = (out / "checkpoint.bin").read_bytes()
+        snap = out / "snapshot_00000010.bin"
+        blob = snap.read_bytes()
+        old = blob.replace(b" step=10 ", b" step=10 mode=nonlocal epsilon=0.3 gamma=0.5 ", 1)
+        assert old != blob
+        snap.write_bytes(old)
+        assert main(["resume", str(snap)]) == 0
         assert (out / "ledger.csv").read_bytes() == ledger
         assert (out / "checkpoint.bin").read_bytes() == checkpoint
 

@@ -5,6 +5,7 @@ import pytest
 
 from nlchb.config import ConfigError, DEFAULT_CONFIG_TEXT, parse_config
 from nlchb.kernel import KernelResolutionWarning
+from nlchb.solver import Model
 
 
 class TestDefaults:
@@ -110,6 +111,7 @@ class TestErrors:
             ("[initial]\ntheta_preset = file\n",
              ["[initial] theta_file: required when theta_preset = file"]),
             ("[forcing]\nq_preset = file\n", ["[forcing] q_file: required when q_preset = file"]),
+            ("[run]\nseed = -1\n", ["[run] seed: must be nonnegative, got -1"]),
         ],
     )
     def test_each_rule_reports_exactly_its_error(self, text, errors):
@@ -128,7 +130,7 @@ class TestWarnings:
         # the config parses; sampling the kernel is what warns
         cfg = parse_config("[grid]\nnx = 8\nny = 8\n[kernel]\nepsilon = 0.1\n")
         with pytest.warns(KernelResolutionWarning, match="fewer than two cells"):
-            cfg.build_model()
+            Model.build(cfg)
 
 
 class TestShippedConfigs:
@@ -172,7 +174,7 @@ class TestBuilders:
 
     def test_build_model_local_mode(self):
         cfg = parse_config("[kernel]\nmode = local\n")
-        model = cfg.build_model()
+        model = Model.build(cfg)
         assert model.kernel is None
         assert model.stabilization > 0.0
 

@@ -18,7 +18,7 @@ from nlchb.config import parse_config
 from nlchb.energy import EnergyLedger
 from nlchb.grid import make_grid
 from nlchb.limits import SweepReport, gamma_sweep, solution_sweep, weak_operator_check
-from nlchb.solver import BlowUpError, Model, integrate, suggest_dt
+from nlchb.solver import BlowUpError, Model, ModelSpec, integrate, suggest_dt
 
 
 def coscos(grid):
@@ -157,9 +157,9 @@ class TestSolutionSweep:
         raw = Model.build.__func__
         builds = []
 
-        def counted(cls, *args, **kwargs):
-            builds.append((kwargs["mode"], kwargs["epsilon"]))
-            return raw(cls, *args, **kwargs)
+        def counted(cls, spec):
+            builds.append((spec.mode, spec.epsilon))
+            return raw(cls, spec)
 
         monkeypatch.setattr(Model, "build", classmethod(counted))
         grid = make_grid(16, 16, 1.0, 1.0)
@@ -192,7 +192,7 @@ def keep_all_samples_sweep(grid, state0, eps, t_end, sample_count, dt=None, keep
     potential, material = spinodal_potential(), spinodal_material()
 
     def build(mode, e):
-        return Model.build(grid, potential, material, mode=mode, epsilon=e, gamma=0.5)
+        return Model.build(ModelSpec(grid, potential, material, mode=mode, epsilon=e, gamma=0.5))
 
     if dt is None:
         dt = suggest_dt(build("nonlocal", eps[-1]), state0, 0.4)
@@ -339,10 +339,10 @@ class TestStreamedSweep:
         # the start state ends a ledgered run at another eps; the sweep's
         # models must not step it from that run's terms
         grid = sweep_grid()
-        other = Model.build(
+        other = Model.build(ModelSpec(
             grid, spinodal_potential(), spinodal_material(), mode="nonlocal", epsilon=0.3,
             gamma=0.5,
-        )
+        ))
         start = integrate(other, spinodal_state(grid), 1e-3, 5e-3, ledger=EnergyLedger())
         kwargs = dict(dt=1e-3, t_end=6e-3, sample_count=3)
         report = solution_sweep(

@@ -33,7 +33,7 @@ class TestRoundTrip:
     def test_bit_exact(self, state16, tmp_path):
         grid, state = state16
         path = str(tmp_path / "snap.bin")
-        write_snapshot(path, state, grid, mode="nonlocal", epsilon=0.2, gamma=0.5, dt=1e-3)
+        write_snapshot(path, state, grid, dt=1e-3)
         back, meta = read_snapshot(path, grid)
         assert back.t == state.t  # exact, not approx
         assert back.step == state.step
@@ -41,7 +41,22 @@ class TestRoundTrip:
         assert np.array_equal(back.theta, state.theta)
         assert np.array_equal(back.vel.u, state.vel.u)
         assert np.array_equal(back.vel.v, state.vel.v)
-        assert meta["epsilon"] == 0.2 and meta["gamma"] == 0.5 and meta["dt"] == 1e-3
+        assert meta["dt"] == 1e-3
+
+    def test_old_header_with_kernel_parameters_reads_the_same(self, state16, tmp_path):
+        # older writers put mode, epsilon and gamma on the time line
+        grid, state = state16
+        path = tmp_path / "snap.bin"
+        write_snapshot(str(path), state, grid, config_text="[grid]\nnx = 16\n", dt=1e-3)
+        blob = path.read_bytes()
+        old = blob.replace(b" step=1234 ", b" step=1234 mode=nonlocal epsilon=0.2 gamma=0.5 ", 1)
+        assert old != blob
+        path.write_bytes(old)
+        back, meta = read_snapshot(str(path), grid)
+        assert (back.t, back.step) == (state.t, state.step)
+        assert np.array_equal(back.phi, state.phi) and np.array_equal(back.theta, state.theta)
+        assert np.array_equal(back.vel.u, state.vel.u) and np.array_equal(back.vel.v, state.vel.v)
+        assert meta["dt"] == 1e-3 and meta["config_text"] == "[grid]\nnx = 16"
 
     def test_config_text_embedded(self, state16, tmp_path):
         grid, state = state16
@@ -88,17 +103,17 @@ class TestFailureModes:
         [
             (b"\nt=", b"\nx="),
             (b" step=", b" x="),
-            (b" epsilon=0.2", b" epsilon=abc"),
+            (b" lx=1.0", b" lx=abc"),
             (b"nx=16", b"nx=4"),
             (b"config_lines=2", b"config_lines=two"),
-            (b"mode=nonlocal", b"mode=\xff"),
+            (b"[grid]", b"[\xff]"),
         ],
-        ids=["no_t", "no_step", "bad_epsilon", "undersized_grid", "bad_config_lines", "not_utf8"],
+        ids=["no_t", "no_step", "bad_lx", "undersized_grid", "bad_config_lines", "not_utf8"],
     )
     def test_malformed_header_rejected(self, state16, tmp_path, old, new):
         grid, state = state16
         path = tmp_path / "snap.bin"
-        write_snapshot(str(path), state, grid, epsilon=0.2, config_text="[grid]\nnx = 16\n")
+        write_snapshot(str(path), state, grid, config_text="[grid]\nnx = 16\n")
         blob = path.read_bytes()
         assert blob.count(old) == 1
         path.write_bytes(blob.replace(old, new))
@@ -119,12 +134,12 @@ class TestFailureModes:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("t", "nan"), ("dt", "inf"), ("epsilon", "-inf"), ("gamma", "nan"), ("lx", "inf"), ("ly", "nan")],
+        [("t", "nan"), ("dt", "inf"), ("lx", "inf"), ("ly", "nan")],
     )
     def test_non_finite_header_number_rejected(self, state16, tmp_path, key, value):
         grid, state = state16
         path = tmp_path / "snap.bin"
-        write_snapshot(str(path), state, grid, epsilon=0.2, gamma=0.5, dt=1e-3)
+        write_snapshot(str(path), state, grid, dt=1e-3)
         blob = path.read_bytes()
         blob, count = re.subn(rb"(?<=[ \n])" + key.encode() + rb"=[^ \n]+", f"{key}={value}".encode(), blob, 1)
         assert count == 1

@@ -26,6 +26,7 @@ from nlchb.solver import (
     Forcing,
     InvariantError,
     Model,
+    ModelSpec,
     SimState,
     _terms,
     advance,
@@ -39,10 +40,10 @@ from nlchb.solver import (
 
 
 def build_model(grid, mode="nonlocal", eps=0.2, pot=None, mat=None, S=None):
-    return Model.build(
+    return Model.build(ModelSpec(
         grid, pot or spinodal_potential(), mat or spinodal_material(),
         mode=mode, epsilon=eps, gamma=0.5, stabilization=S,
-    )
+    ))
 
 
 def uniform_forcing(grid, qx=0.0, z=0.0):
@@ -334,7 +335,7 @@ class TestAdvance:
             nu_min=0.5, nu_max=1.5, alpha0=0.1, alpha1=0.2, alpha2=0.5, g=(0.3, -1.0),
         )
         pot = PotentialParams(eta_f=5.0)
-        model = Model.build(grid, pot, mat, mode=mode, epsilon=0.4, gamma=0.6)
+        model = Model.build(ModelSpec(grid, pot, mat, mode=mode, epsilon=0.4, gamma=0.6))
         X, Y = grid.cell_centers()
         state = SimState(
             t=0.0,

@@ -30,6 +30,7 @@ from nlchb.physics import MaterialParams, buoyancy
 from nlchb.solver import (
     Forcing,
     Model,
+    ModelSpec,
     _implicit_solve,
     _projection_eigenvalues,
     _Terms,
@@ -386,7 +387,7 @@ def flow_model(grid, g, epsilon=0.2):
         K_cap=0.05, l_c=0.5, l_h=0.5, kappa=0.5,
         nu_min=0.5, nu_max=1.5, alpha1=0.2, alpha2=0.5, g=g,
     )
-    return Model.build(grid, spinodal_potential(), mat, epsilon=epsilon, gamma=0.5)
+    return Model.build(ModelSpec(grid, spinodal_potential(), mat, epsilon=epsilon, gamma=0.5))
 
 
 def test_denominators_built_once_per_run(grid32):
@@ -527,7 +528,7 @@ def budget_model_and_forcing():
         K_cap=0.05, l_c=0.5, l_h=0.5, kappa=0.2,
         nu_min=0.05, nu_max=0.2, alpha1=0.1, alpha2=1.0, g=(0.0, -5.0),
     )
-    model = Model.build(grid, spinodal_potential(), mat, epsilon=0.2, gamma=0.5)
+    model = Model.build(ModelSpec(grid, spinodal_potential(), mat, epsilon=0.2, gamma=0.5))
     return model, Forcing(z=np.full(grid.shape, 0.1))
 
 
