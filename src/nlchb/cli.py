@@ -68,36 +68,30 @@ def _run_loop(
     outdir: str,
     append_csv: bool,
 ) -> int:
-    csv = None
-    if config.output["write_csv"]:
-        csv = LedgerCsvWriter(os.path.join(outdir, "ledger.csv"), append=append_csv)
     ledger = EnergyLedger()
+    csv = LedgerCsvWriter(os.path.join(outdir, "ledger.csv"), append=append_csv)
 
     def on_step(state: SimState) -> None:
-        if csv is not None:
-            csv.write_row(ledger.rows[-1])
+        csv.write_row(ledger.rows[-1])
         ledger.rows.clear()
         if state.step % config.cadence == 0:
-            if csv is not None:  # every row up to a snapshot is on disk before it
-                csv.flush()
+            csv.flush()  # every row up to a snapshot is on disk before it
             _emit_outputs(config, outdir, state, dt)
 
-    try:
-        state = integrate(
-            model,
-            state,
-            dt,
-            config.t_end,
-            forcing,
-            ledger,
-            on_step=on_step,
-        )
-    except BlowUpError as exc:
-        _save(config, os.path.join(outdir, "blowup.bin"), exc.state, dt)
-        raise
-    finally:
-        if csv is not None:
-            csv.close()
+    with csv:
+        try:
+            state = integrate(
+                model,
+                state,
+                dt,
+                config.t_end,
+                forcing,
+                ledger,
+                on_step=on_step,
+            )
+        except BlowUpError as exc:
+            _save(config, os.path.join(outdir, "blowup.bin"), exc.state, dt)
+            raise
 
     _save(config, os.path.join(outdir, "checkpoint.bin"), state, dt)
     print(f"finished at t={state.t:.6g} after {state.step} steps")
@@ -235,7 +229,7 @@ def cmd_oracle(config_path: str) -> int:
     check("c2_vs_pi", abs(c2 - np.pi), 1e-8)
     check("c3_vs_4pi_over_3", abs(c3 - 4.0 * np.pi / 3.0), 1e-6)
 
-    mollifier = calibrate_mollifier(config.gamma, d=2, shape_id=config.shape_id)
+    mollifier = calibrate_mollifier(config.gamma, shape_id=config.shape_id)
     check("mollifier_calibration", mollifier.renormalization_residual(), 1e-8)
 
     kernel = sample_kernel(mollifier, config.epsilon, grid)

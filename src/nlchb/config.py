@@ -96,7 +96,6 @@ SCHEMA: dict[str, dict[str, tuple[str, str]]] = {
         "directory": ("out", "str"),
         "write_snapshots": ("true", "bool"),
         "write_images": ("true", "bool"),
-        "write_csv": ("true", "bool"),
     },
     "run": {
         "seed": ("0", "int"),

@@ -1,6 +1,7 @@
 """Compactly supported interaction kernels, their lattice sampling, and fast convolution.
 
-The kernel family is J_eps(z) = amp * eta(|z|/eps) / (eps^(2-gamma+d) |z|^gamma)
+The kernel family on the plane (d = 2) is
+J_eps(z) = amp * eta(|z|/eps) / (eps^(2-gamma+d) |z|^gamma)
 with a C^1 radial profile eta supported in [0, 1], calibrated so that
 
     integral_0^inf eta(s) s^(d+1-gamma) ds = 2 / C_d,
@@ -124,10 +125,9 @@ def compute_cd(d: int) -> float:
 
 @dataclass(frozen=True)
 class Mollifier:
-    """Calibrated radial profile eta(s) = c_eta * profile(s)."""
+    """Calibrated radial profile eta(s) = c_eta * profile(s) of the planar kernel."""
 
     gamma: float
-    d: int
     shape_id: str
     c_eta: float
 
@@ -138,21 +138,21 @@ class Mollifier:
         return self.c_eta * PROFILES[self.shape_id][1](s)
 
     def renormalization_residual(self) -> float:
-        """Relative defect of the calibration integral against 2/C_d."""
-        target = 2.0 / compute_cd(self.d)
+        """Relative defect of the calibration integral against 2/C_2."""
+        target = 2.0 / compute_cd(2)
         val, _ = integrate.quad(
-            lambda s: self.eta(s) * s ** (self.d + 1 - self.gamma), 0.0, 1.0, limit=200
+            lambda s: self.eta(s) * s ** (2 + 1 - self.gamma), 0.0, 1.0, limit=200
         )
         return abs(val - target) / target
 
     def kernel_value(self, r, eps: float) -> np.ndarray:
         """J_eps at radius r (amplitude already includes GRADIENT_LIMIT_SCALE)."""
-        amp = GRADIENT_LIMIT_SCALE / eps ** (2.0 - self.gamma + self.d)
+        amp = GRADIENT_LIMIT_SCALE / eps ** (2.0 - self.gamma + 2)
         return _on_support(lambda r: amp * self.eta(r / eps) / np.power(r, self.gamma), r, 0.0, eps)
 
     def kernel_radial_derivative(self, r, eps: float) -> np.ndarray:
         """dJ_eps/dr away from the origin (used for the W^{1,1} seminorm)."""
-        amp = GRADIENT_LIMIT_SCALE / eps ** (2.0 - self.gamma + self.d)
+        amp = GRADIENT_LIMIT_SCALE / eps ** (2.0 - self.gamma + 2)
         g = self.gamma
 
         def dj(r):
@@ -164,32 +164,32 @@ class Mollifier:
         return _on_support(dj, r, 0.0, eps)
 
 
-def calibrate_mollifier(gamma: float, d: int = 2, shape_id: str = "bump") -> Mollifier:
-    """Fix c_eta so the renormalization integral equals 2/C_d.
+def calibrate_mollifier(gamma: float, shape_id: str = "bump") -> Mollifier:
+    """Fix c_eta so the renormalization integral equals 2/C_2.
 
     The integral is linear in c_eta, so the calibration is the unique
     positive root of a one-dimensional linear equation. `Mollifier` is
-    frozen, so one calibration per (gamma, d, shape_id) is kept and shared
+    frozen, so one calibration per (gamma, shape_id) is kept and shared
     by every model built with it (e.g. each member of an eps sweep), however
     the arguments are passed.
     """
-    if not 0.0 < gamma < d - 1:
-        raise ValueError(f"gamma={gamma} outside the admissible range (0, {d - 1})")
+    if not 0.0 < gamma < 1.0:
+        raise ValueError(f"gamma={gamma} outside the admissible range (0, 1)")
     if shape_id not in PROFILES:
         raise ValueError(f"unknown mollifier shape {shape_id!r}; known: {sorted(PROFILES)}")
-    return _calibrated(float(gamma), d, shape_id)
+    return _calibrated(float(gamma), shape_id)
 
 
 @functools.lru_cache(maxsize=32)
-def _calibrated(gamma: float, d: int, shape_id: str) -> Mollifier:
+def _calibrated(gamma: float, shape_id: str) -> Mollifier:
     base, _ = PROFILES[shape_id]
     raw, err = integrate.quad(
-        lambda s: base(s) * s ** (d + 1 - gamma), 0.0, 1.0, limit=400, epsabs=1e-14, epsrel=1e-13
+        lambda s: base(s) * s ** (2 + 1 - gamma), 0.0, 1.0, limit=400, epsabs=1e-14, epsrel=1e-13
     )
     if not np.isfinite(raw) or raw <= 0.0 or err > 1e-9 * raw:
         raise RuntimeError(f"mollifier calibration quadrature did not converge (I={raw}, err={err})")
-    c_eta = (2.0 / compute_cd(d)) / raw
-    return Mollifier(gamma=gamma, d=int(d), shape_id=shape_id, c_eta=float(c_eta))
+    c_eta = (2.0 / compute_cd(2)) / raw
+    return Mollifier(gamma=gamma, shape_id=shape_id, c_eta=float(c_eta))
 
 
 # 4x4 tensor Gauss-Legendre rule used by the adaptive cell averaging.
@@ -225,17 +225,16 @@ def _cell_averages(
     hx: float,
     hy: float,
     floor: float,
-    rel_tol: float = CELL_AVG_REL_TOL,
 ) -> np.ndarray:
     """Adaptive quadtree averages of J_eps over hx-by-hy lattice cells centred at (cx, cy).
 
     A cell's coarse estimate is the Gauss rule on the cell, its refined
     estimate the mean of the rule on its four children. A cell is accepted
-    when |refined - coarse| <= rel_tol*|refined| + floor (the absolute floor
-    lets cells where the profile underflows terminate) or at depth
-    CELL_AVG_MAX_DEPTH; otherwise its value is the mean of its children's
-    averages. The |z|^-gamma singularity keeps deep refinement localized to
-    the origin path.
+    when |refined - coarse| <= CELL_AVG_REL_TOL*|refined| + floor (the
+    absolute floor lets cells where the profile underflows terminate) or at
+    depth CELL_AVG_MAX_DEPTH; otherwise its value is the mean of its
+    children's averages. The |z|^-gamma singularity keeps deep refinement
+    localized to the origin path.
 
     The quadtree is refined one depth at a time: all pending cells of a depth
     have their children evaluated in one array call, the children of the
@@ -254,7 +253,7 @@ def _cell_averages(
         hx, hy = hx / 2.0, hy / 2.0
         parts = _gauss_cells(mollifier, eps, ccx, ccy, hx, hy).reshape(-1, 4)
         refined = _sum_children(parts)
-        split = ~(np.abs(refined - coarse) <= rel_tol * np.abs(refined) + floor)
+        split = ~(np.abs(refined - coarse) <= CELL_AVG_REL_TOL * np.abs(refined) + floor)
         if depth == CELL_AVG_MAX_DEPTH:
             split[:] = False
         levels.append((refined, split))
@@ -273,7 +272,7 @@ def _cell_averages(
 
 @dataclass
 class KernelGrid:
-    """J_eps sampled on the (2nx, 2ny) displacement lattice in FFT layout.
+    """J_eps of `mollifier` sampled on the (2nx, 2ny) displacement lattice in FFT layout.
 
     values[m % 2nx, l % 2ny] holds the kernel at displacement (m dx, l dy)
     for m in [-nx, nx), l in [-ny, ny); symmetry J(-z) = J(z) is exact by
@@ -282,8 +281,7 @@ class KernelGrid:
 
     grid: Grid
     epsilon: float
-    gamma: float
-    shape_id: str
+    mollifier: Mollifier
     values: np.ndarray
     under_resolved: bool = False
     _spectrum: np.ndarray | None = field(default=None, repr=False, compare=False)
@@ -313,8 +311,6 @@ def sample_kernel(mollifier: Mollifier, epsilon: float, grid: Grid) -> KernelGri
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    if mollifier.d != 2:
-        raise ValueError("kernel sampling is two-dimensional (d=2)")
     h = max(grid.dx, grid.dy)
     under = epsilon < 2.0 * h
     if under:
@@ -359,8 +355,7 @@ def sample_kernel(mollifier: Mollifier, epsilon: float, grid: Grid) -> KernelGri
     return KernelGrid(
         grid=grid,
         epsilon=float(epsilon),
-        gamma=mollifier.gamma,
-        shape_id=mollifier.shape_id,
+        mollifier=mollifier,
         values=values,
         under_resolved=under,
     )
@@ -438,9 +433,8 @@ def kernel_norms(kernel: KernelGrid) -> dict[str, float]:
     ring = min(AVG_RING_MAX, int(AVG_RING_FRACTION * kernel.epsilon / h)) + 1
     r0 = min((ring + 0.5) * h, kernel.epsilon)
 
-    mollifier = calibrate_mollifier(kernel.gamma, d=2, shape_id=kernel.shape_id)
     # profiles here are nonincreasing, so |J'| = -J' and the integrand is smooth
-    dj = functools.partial(mollifier.kernel_radial_derivative, eps=kernel.epsilon)
+    dj = functools.partial(kernel.mollifier.kernel_radial_derivative, eps=kernel.epsilon)
     grad_inner, _ = integrate.quad(lambda r: 2.0 * np.pi * r * abs(float(dj(r))), 0.0, r0, limit=200)
 
     K = np.fft.fftshift(kernel.values)

@@ -8,7 +8,8 @@ runs against a local-mode reference; the end-time energy gap is evaluated
 like-for-like through the local functional for both states, since the
 nonlocal and local total-energy displays weight the bulk term differently.
 
-Convergence is reported as error and ratio tables, never as fitted rates.
+Convergence is reported as the `abs_error` column of a kernel sweep (and the
+distance columns of a solution sweep), never as fitted rates.
 """
 
 from __future__ import annotations
@@ -54,22 +55,6 @@ class SweepReport:
         if not self.valid:
             self.valid = [True] * len(self.eps)
 
-    def errors(self, column: str) -> list[float]:
-        if self.target is None:
-            raise ValueError("report has no scalar target")
-        return [abs(v - self.target) for v in self.columns[column]]
-
-    def ratios(self, column: str) -> list[float]:
-        """Adjacent-epsilon ratios of |value - target| (valid rows only)."""
-        errs = self.errors(column)
-        out = []
-        for i in range(len(errs) - 1):
-            if self.valid[i] and self.valid[i + 1] and errs[i + 1] != 0.0:
-                out.append(errs[i] / errs[i + 1])
-            else:
-                out.append(float("nan"))
-        return out
-
     def csv_lines(self) -> list[str]:
         lines = [f"# kind = {self.kind}"]
         for k in sorted(self.metadata):
@@ -101,7 +86,7 @@ def _kernel_sweep(
     """Table over eps of the columns `measure(kernel, a)` returns, one kernel
     sampled per eps, plus `abs_error`: |first column - target|."""
     eps = _check_eps_list(eps_list)
-    mollifier = calibrate_mollifier(gamma, d=2, shape_id=shape_id)
+    mollifier = calibrate_mollifier(gamma, shape_id=shape_id)
     columns: dict[str, list[float]] = {}
     resolved = []
     for e in eps:
@@ -195,7 +180,7 @@ def solution_sweep(
     epsilon: space-time L2 distances of phi, theta, u to the reference
     (trapezoidal in time on the sampling grid), end-time L2 distances, and the
     end-time energy gap under the shared local functional. Diverged runs are
-    marked invalid and excluded from ratio tables.
+    marked invalid and their columns hold NaN.
 
     The reference and the members advance in lockstep, one sampling interval
     at a time, and the distances accumulate as they go: the sweep holds one

@@ -30,6 +30,11 @@ __all__ = [
 #: F(s) = (1/4)(s^2 - 1)^2 in ascending-power coefficients
 DOUBLE_WELL_COEFFS = (0.25, 0.0, -0.5, 0.0, 0.25)
 
+#: range of s on which `validate_assumptions` samples F, and the growth
+#: exponent p of |F'|^p <= c3 |F| + c4 it fits there
+S_RANGE = (-3.0, 3.0)
+GROWTH_P = 2.0
+
 
 @dataclass(frozen=True)
 class PotentialParams:
@@ -181,13 +186,11 @@ class ValidationReport:
     c2: float
     half_j_l1: float
     a4_satisfied: bool
-    p: float
     c3: float
     c4: float
     a5_feasible_on_range: bool
     nu_within_bounds: bool
     nu_lipschitz_bound: float
-    s_range: tuple[float, float]
     flags: list[str] = field(default_factory=list)
 
     def lines(self) -> list[str]:
@@ -200,11 +203,11 @@ class ValidationReport:
             f"c0 (min F'' + a) = {self.c0:.6e}  [{ok[self.c0 > 0.0]}]",
             f"c1 = {self.c1:.6e}  vs  |J|_L1 / 2 = {self.half_j_l1:.6e}  [{ok[self.a4_satisfied]}]",
             f"c2 = {self.c2:.6e}",
-            f"growth p = {self.p:g}, c3 = {self.c3:.6e}, c4 = {self.c4:.6e}"
+            f"growth p = {GROWTH_P:g}, c3 = {self.c3:.6e}, c4 = {self.c4:.6e}"
             f"  [{ok[self.a5_feasible_on_range]}]",
             f"viscosity within bounds = {self.nu_within_bounds}"
             f" (Lipschitz <= {self.nu_lipschitz_bound:.6e})",
-            f"s_range = [{self.s_range[0]:g}, {self.s_range[1]:g}]",
+            f"s_range = [{S_RANGE[0]:g}, {S_RANGE[1]:g}]",
             "flags: " + (", ".join(self.flags) if self.flags else "none"),
         ]
 
@@ -236,9 +239,9 @@ def _fit_a4(potential: PotentialParams, half_j_l1: float) -> tuple[float, float,
     return float(c1), c2, bool(satisfied)
 
 
-def _fit_a5(potential: PotentialParams, p: float, s: np.ndarray) -> tuple[float, float, bool]:
-    """Least-violation fit of |F'|^p <= c3 |F| + c4 on the sampled range."""
-    lhs = np.abs(potential.df(s)) ** p
+def _fit_a5(potential: PotentialParams, s: np.ndarray) -> tuple[float, float, bool]:
+    """Least-violation fit of |F'|^p <= c3 |F| + c4 on the sampled range, p = GROWTH_P."""
+    lhs = np.abs(potential.df(s)) ** GROWTH_P
     absF = np.abs(potential.f(s))
     small = absF <= 1.0
     c4 = float(lhs[small].max()) if small.any() else 0.0
@@ -256,8 +259,6 @@ def validate_assumptions(
     a: np.ndarray | None,
     potential: PotentialParams,
     material: MaterialParams,
-    s_range: tuple[float, float] = (-3.0, 3.0),
-    p: float = 2.0,
 ) -> ValidationReport:
     """Check the model assumptions numerically and collect fitted constants.
 
@@ -265,10 +266,7 @@ def validate_assumptions(
     raises on a violated assumption: violations are flagged so limit
     studies can proceed with the physics unmodified.
     """
-    lo, hi = float(s_range[0]), float(s_range[1])
-    if not (lo < 0.0 < hi) or hi < 2.0:
-        raise ValueError("s_range must straddle 0 and extend to at least 2")
-    s = np.linspace(lo, hi, 4001)
+    s = np.linspace(*S_RANGE, 4001)
     flags: list[str] = []
 
     if kernel is not None:
@@ -291,7 +289,7 @@ def validate_assumptions(
     if not a4_ok:
         flags.append("a4_c1_below_half_l1")
 
-    c3, c4, a5_ok = _fit_a5(potential, p, s)
+    c3, c4, a5_ok = _fit_a5(potential, s)
     if not a5_ok:
         flags.append("a5_infeasible_on_range")
 
@@ -310,12 +308,10 @@ def validate_assumptions(
         c2=c2,
         half_j_l1=half_j_l1,
         a4_satisfied=a4_ok,
-        p=p,
         c3=c3,
         c4=c4,
         a5_feasible_on_range=a5_ok,
         nu_within_bounds=nu_ok,
         nu_lipschitz_bound=material.nu_lipschitz,
-        s_range=(lo, hi),
         flags=flags,
     )

@@ -164,12 +164,12 @@ def read_snapshot(path: str, grid: Grid | None = None) -> tuple[SimState, dict]:
     return state, meta
 
 
-def write_ppm(path: str, values: np.ndarray, vmin: float = -1.0, vmax: float = 1.0) -> None:
-    """Binary PPM render with a fixed blue-white-red diverging map.
+def write_ppm(path: str, values: np.ndarray) -> None:
+    """Binary PPM render with a fixed blue-white-red diverging map over [-1, 1].
 
     Image rows run from the top of the domain (largest y) downward.
     """
-    t = np.clip((values - vmin) / (vmax - vmin), 0.0, 1.0)
+    t = np.clip((values + 1.0) / 2.0, 0.0, 1.0)
     lo = np.clip(2.0 * t, 0.0, 1.0)        # blue -> white
     hi = np.clip(2.0 - 2.0 * t, 0.0, 1.0)  # white -> red
     r = (255.0 * lo).astype(np.uint8)

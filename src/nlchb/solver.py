@@ -27,6 +27,7 @@ liberty taken with the continuous formulation.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
@@ -149,43 +150,37 @@ class ModelSpec:
     stabilization: float | None = None
 
 
-@dataclass
-class Model:
-    """Grid, physics, kernel data, and the resolved stabilization constant."""
+@dataclass(frozen=True, eq=False)
+class Model(ModelSpec):
+    """A `ModelSpec` plus what `build` makes of it: the sampled kernel J_eps and
+    a(x) (both None in local mode), with `stabilization` resolved to a float."""
 
-    grid: Grid
-    potential: PotentialParams
-    material: MaterialParams
-    mode: str
+    stabilization: float = 0.0
     kernel: KernelGrid | None = None
     a: np.ndarray | None = None
-    stabilization: float = 0.0
 
     @classmethod
     def build(cls, spec: ModelSpec) -> "Model":
         """Calibrate the mollifier, sample J_eps and a(x) (nonlocal mode), resolve S."""
         if spec.mode not in ("nonlocal", "local"):
             raise ValueError(f"unknown mode {spec.mode!r}")
+        for name in ("epsilon", "stabilization"):
+            value = getattr(spec, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if spec.stabilization is not None and spec.stabilization < 0.0:
             raise ValueError("stabilization must be nonnegative")
         kernel = None
         a = None
         if spec.mode == "nonlocal":
-            mollifier = calibrate_mollifier(spec.gamma, d=2, shape_id=spec.shape_id)
+            mollifier = calibrate_mollifier(spec.gamma, shape_id=spec.shape_id)
             kernel = sample_kernel(mollifier, spec.epsilon, spec.grid)
             a = compute_a(kernel)
         S = spec.stabilization
         if S is None:
             S = default_stabilization(spec.potential, a)
-        return cls(
-            grid=spec.grid,
-            potential=spec.potential,
-            material=spec.material,
-            mode=spec.mode,
-            kernel=kernel,
-            a=a,
-            stabilization=float(S),
-        )
+        given = {f.name: getattr(spec, f.name) for f in dataclasses.fields(ModelSpec)}
+        return cls(**{**given, "stabilization": float(S)}, kernel=kernel, a=a)
 
     def total_energy(self, state: "SimState") -> float:
         """E of `state` under this model."""
@@ -228,13 +223,13 @@ class _Terms:
     names, so perfbench's wrappers see every call. The memo holds the state's
     arrays, not the state, so it makes no reference cycle.
 
-    Who holds what: the scalars (`energy`, `interface`, `integrals`, `max_u`)
-    stay for the life of the state. A step drops the grid arrays of its start
-    state after their last reader: `advance` drops `mu` after `step_ch` and
-    `g_dot_u` after `step_heat`, and `step_ns` drops `viscous` after
-    `viscous_remainder`. A dropped term read again is
-    computed again by the same rule. J*phi is never kept: `mu` and
-    `interface` each convolve, or `mu_and_interface` gives both from one.
+    Who holds what: the scalars (`energy`, `interface`, `integrals`, `max_u`,
+    `mass_phi`) stay for the life of the state. A step drops the grid arrays
+    of its start state after their last reader: `advance` drops `mu` after
+    `step_ch` and `g_dot_u` after `step_heat`, and `step_ns` drops `viscous`
+    after `viscous_remainder`. A dropped term read again is computed again by
+    the same rule. J*phi is never kept: `mu` and `interface` each convolve,
+    or `mu_and_interface` gives both from one.
     """
 
     def __init__(self, model: Model, state: SimState):
@@ -291,6 +286,11 @@ class _Terms:
     @functools.cached_property
     def max_u(self) -> float:
         return self.vel.max_speed()
+
+    @functools.cached_property
+    def mass_phi(self) -> float:
+        """The integral of phi: the ledger's `mass_phi` and the mass invariant."""
+        return float(self.phi.sum() * self.model.grid.cell_area)
 
     def drop(self, *names: str) -> None:
         """Forget the named terms; a later read computes them again."""
@@ -609,7 +609,7 @@ def _ledger_row(
         "thermal": theta_sq / (2.0 * mat.l_h),
         "dissipation": diss,
         "residual": resid,
-        "mass_phi": float(state_next.phi.sum() * g.cell_area),
+        "mass_phi": terms.mass_phi,
         "mean_h": float(np.mean(state_next.theta - mat.l_h * state_next.phi)),
         "max_div_u": float(np.abs(dxx + dyy).max()),
         "max_u": terms.max_u,
@@ -665,7 +665,7 @@ def advance(
         bad = [c for c, x in row.items() if not math.isfinite(x)]
         if bad:
             raise BlowUpError(f"step diverged: non-finite ledger {', '.join(bad)}", state)
-        mass_change = abs(row["mass_phi"] - float(state.phi.sum() * g.cell_area))
+        mass_change = abs(row["mass_phi"] - terms.mass_phi)
         if mass_change > INVARIANT_TOL or row["max_div_u"] > INVARIANT_TOL:
             raise InvariantError(f"invariant broken: mass change {mass_change:.3e}, max div u "
                                  f"{row['max_div_u']:.3e}, bound {INVARIANT_TOL:g}", state)

@@ -339,9 +339,7 @@ class TestCriterion14Validator:
         grid = make_grid(64, 64, 1.0, 1.0)
         kernel = sample_kernel(calibrate_mollifier(GAMMA), SPINODAL_EPS, grid)
         a = compute_a(kernel)
-        report = validate_assumptions(
-            kernel, a, spinodal_potential(), spinodal_material(), s_range=(-3.0, 3.0), p=2.0
-        )
+        report = validate_assumptions(kernel, a, spinodal_potential(), spinodal_material())
         a4_ok = report.a4_satisfied == (report.c1 > report.half_j_l1)
         flagged_consistently = report.a4_satisfied or "a4_c1_below_half_l1" in report.flags
         ok = (

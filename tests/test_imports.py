@@ -1,5 +1,6 @@
 """No module under src/nlchb or tests imports a name it never uses, and no
-module-level function or class in src/nlchb is left without a caller.
+module-level function or class in src/nlchb, and no method of such a class,
+is left without a caller.
 
 No linter runs on this code, so these AST scans are the check. The package
 `__init__.py` is left out: its imports are the public re-exports.
@@ -60,22 +61,34 @@ def used_names(tree: ast.AST, skip: tuple[int, int] = (0, -1), strings: bool = F
     return names
 
 
+def definitions(tree: ast.Module):
+    """(qualified name, node) of each module-level function and class of `tree`
+    and of each method of those classes but the dunder ones."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield f"{node.name}.{item.name}", item
+
+
 def unreferenced_definitions(
     package: dict[str, str], outside: list[str], exported: set[str]
 ) -> list[str]:
-    """Module-level functions and classes of `package` (module name -> source)
-    referenced nowhere but in their own definition: not elsewhere in their
-    module, not in another package module, not in an `outside` source, and
-    not among the `exported` names."""
+    """Module-level functions and classes of `package` (module name -> source),
+    and methods of those classes, referenced by name nowhere but in their own
+    definition: not elsewhere in their module, not in another package module,
+    not in an `outside` source, and not among the `exported` names."""
     trees = {name: ast.parse(source) for name, source in package.items()}
     outside_names = set(exported).union(*(used_names(ast.parse(s), strings=True) for s in outside))
     dead = []
     for name, tree in trees.items():
         elsewhere = outside_names.union(*(used_names(t) for n, t in trees.items() if n != name))
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in elsewhere:
+        for qualified, node in definitions(tree):
+            if node.name not in elsewhere:
                 if node.name not in used_names(tree, (node.lineno, node.end_lineno)):
-                    dead.append(f"{name}.{node.name}")
+                    dead.append(f"{name}.{qualified}")
     return dead
 
 
@@ -87,6 +100,18 @@ def test_definition_scanner_finds_dead_and_keeps_used():
     outside = ['TARGETS = [("b", "Wrapped.method")]\n']
     assert unreferenced_definitions(package, outside, {"public"}) == ["a.helper"]
     assert unreferenced_definitions(package, [], set()) == ["a.helper", "b.Wrapped", "b.public"]
+
+
+def test_definition_scanner_finds_dead_methods():
+    source = (
+        "class Box:\n"
+        "    def __init__(self):\n        self.size = 1\n\n"
+        "    def used(self):\n        return self.size\n\n"
+        "    def loop(self):\n        return self.loop()\n\n"
+        "Box().used()\n"
+    )
+    assert unreferenced_definitions({"a": source}, [], set()) == ["a.Box.loop"]
+    assert unreferenced_definitions({"a": source}, ['("a", "Box.loop")'], set()) == []
 
 
 def test_no_unreferenced_definitions():

@@ -138,7 +138,7 @@ def frozen_kernel_value(m, r, eps):
     r = np.asarray(r, dtype=float)
     out = np.zeros_like(r)
     mask = (r > 0.0) & (r < eps)
-    amp = GRADIENT_LIMIT_SCALE / eps ** (2.0 - m.gamma + m.d)
+    amp = GRADIENT_LIMIT_SCALE / eps ** (2.0 - m.gamma + 2)
     out[mask] = amp * frozen_eta(m, r[mask] / eps) / r[mask] ** m.gamma
     return out
 
@@ -148,7 +148,7 @@ def frozen_kernel_radial_derivative(m, r, eps):
     out = np.zeros_like(r)
     mask = (r > 0.0) & (r < eps)
     rm = r[mask]
-    amp = GRADIENT_LIMIT_SCALE / eps ** (2.0 - m.gamma + m.d)
+    amp = GRADIENT_LIMIT_SCALE / eps ** (2.0 - m.gamma + 2)
     out[mask] = amp * (
         frozen_eta_prime(m, rm / eps) / eps / rm**m.gamma
         - m.gamma * frozen_eta(m, rm / eps) / rm ** (m.gamma + 1.0)
@@ -170,8 +170,8 @@ def frozen_c_eta(gamma, d, shape_id):
 
 
 def frozen_renormalization_residual(m):
-    target = 2.0 / compute_cd(m.d)
-    val, _ = integrate.quad(lambda s: frozen_eta(m, s) * s ** (m.d + 1 - m.gamma), 0.0, 1.0, limit=200)
+    target = 2.0 / compute_cd(2)
+    val, _ = integrate.quad(lambda s: frozen_eta(m, s) * s ** (2 + 1 - m.gamma), 0.0, 1.0, limit=200)
     return abs(val - target) / target
 
 
@@ -181,7 +181,7 @@ def frozen_kernel_norms(kernel):
     h = max(g.dx, g.dy)
     ring = min(AVG_RING_MAX, int(AVG_RING_FRACTION * kernel.epsilon / h)) + 1
     r0 = min((ring + 0.5) * h, kernel.epsilon)
-    m = calibrate_mollifier(kernel.gamma, d=2, shape_id=kernel.shape_id)
+    m = kernel.mollifier
     grad_inner, _ = integrate.quad(
         lambda r: 2.0 * np.pi * r * abs(float(frozen_kernel_radial_derivative(m, np.asarray([r]), kernel.epsilon)[0])),
         0.0,
@@ -286,23 +286,23 @@ class TestMollifier:
     def test_calibration_is_memoized_with_fresh_values(self):
         m = calibrate_mollifier(0.37, shape_id="quartic")
         assert calibrate_mollifier(0.37, shape_id="quartic") is m
-        fresh = _calibrated.__wrapped__(0.37, 2, "quartic")
+        fresh = _calibrated.__wrapped__(0.37, "quartic")
         assert fresh is not m
-        assert (fresh.gamma, fresh.d, fresh.shape_id) == (m.gamma, m.d, m.shape_id)
+        assert (fresh.gamma, fresh.shape_id) == (m.gamma, m.shape_id)
         assert fresh.c_eta.hex() == m.c_eta.hex()
 
     def test_calibration_cache_is_shared_by_every_call_form(self):
         misses = _calibrated.cache_info().misses
         m = calibrate_mollifier(0.4321)
-        assert calibrate_mollifier(0.4321, 2) is m
-        assert calibrate_mollifier(0.4321, d=2, shape_id="bump") is m
-        assert calibrate_mollifier(np.float64(0.4321), d=2.0) is m
+        assert calibrate_mollifier(0.4321, "bump") is m
+        assert calibrate_mollifier(0.4321, shape_id="bump") is m
+        assert calibrate_mollifier(np.float64(0.4321)) is m
         assert _calibrated.cache_info().misses == misses + 1
 
     @pytest.mark.parametrize("gamma", [-0.1, 0.0, 1.0, 1.5])
     def test_gamma_out_of_range(self, gamma):
         with pytest.raises(ValueError):
-            calibrate_mollifier(gamma, d=2)
+            calibrate_mollifier(gamma)
 
     def test_unknown_shape(self):
         with pytest.raises(ValueError):
@@ -328,15 +328,6 @@ class TestMollifier:
             limit=200,
         )
         assert np.isfinite(val) and val > 0.0
-
-    def test_d3_calibration_for_constants(self):
-        # three-dimensional calibration is supported for the constants only
-        m = calibrate_mollifier(1.5, d=3)
-        assert m.renormalization_residual() <= 1e-8
-        with pytest.raises(ValueError):
-            calibrate_mollifier(2.5, d=3)
-        with pytest.raises(ValueError):
-            calibrate_mollifier(0.5, d=2.5)
 
 
 CASES = [(eps, gamma, shape) for eps in (0.2, 0.05) for gamma in (0.1, 0.5, 0.8) for shape in ("bump", "quartic")]
@@ -384,7 +375,7 @@ class TestFrozenFormulas:
     @pytest.mark.parametrize("gamma", [0.1, 0.25, 0.5, 0.5000001, 0.8, 0.9])
     @pytest.mark.parametrize("shape", ["bump", "quartic"])
     def test_calibration(self, gamma, shape):
-        assert _calibrated.__wrapped__(gamma, 2, shape).c_eta.hex() == frozen_c_eta(gamma, 2, shape).hex()
+        assert _calibrated.__wrapped__(gamma, shape).c_eta.hex() == frozen_c_eta(gamma, 2, shape).hex()
 
     @pytest.mark.parametrize(
         "n,eps,gamma,shape",
@@ -545,7 +536,7 @@ class TestConvolveDirect:
         w = 2.5
         values = np.zeros((2 * g.nx, 2 * g.ny))
         values[0, 0] = w / g.cell_area
-        k = KernelGrid(grid=g, epsilon=0.1, gamma=0.5, shape_id="bump", values=values)
+        k = KernelGrid(grid=g, epsilon=0.1, mollifier=calibrate_mollifier(0.5), values=values)
         phi = np.random.default_rng(2).standard_normal(g.shape)
         out = convolve_direct(k, phi)
         assert np.abs(out - w * phi).max() < 1e-12 * np.abs(phi).max()
@@ -609,7 +600,7 @@ class TestKernelNorms:
         # the validator reports the full seminorm: the radial quadrature over
         # the near-origin disc plus the lattice part outside it
         g = make_grid(64, 64, 1.0, 1.0)
-        k = sample_kernel(calibrate_mollifier(0.5, d=2, shape_id="bump"), eps, g)
+        k = sample_kernel(calibrate_mollifier(0.5, shape_id="bump"), eps, g)
         report = validate_assumptions(k, compute_a(k), PotentialParams(eta_f=150.0), MaterialParams())
         outer = outer_lattice_grad_l1(k)
         assert report.kernel_grad_l1 == kernel_norms(k)["grad_l1"]

@@ -31,11 +31,6 @@ class TestSweepReport:
         with pytest.raises(ValueError):
             SweepReport(kind="x", eps=[0.1, 0.2], columns={"v": [1.0, 2.0]})
 
-    def test_errors_and_ratios(self):
-        rep = SweepReport(kind="x", eps=[0.2, 0.1], columns={"v": [1.5, 1.25]}, target=1.0)
-        assert rep.errors("v") == [0.5, 0.25]
-        assert rep.ratios("v") == [2.0]
-
     def test_csv_has_metadata_and_rows(self):
         rep = SweepReport(
             kind="x", eps=[0.2, 0.1], columns={"v": [1.0, 2.0]}, target=0.0, metadata={"k": 3}

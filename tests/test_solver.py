@@ -1,5 +1,6 @@
 """Time-stepper tests: fixed points, conservation, one-mode recurrences, order."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -674,6 +675,30 @@ class TestBuildAndDtValidation:
     def test_negative_stabilization_rejected(self, grid32):
         with pytest.raises(ValueError, match="nonnegative"):
             build_model(grid32, mode="local", S=-1.0)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("epsilon", float("nan")), ("epsilon", float("inf")),
+         ("stabilization", float("nan")), ("stabilization", float("inf"))],
+    )
+    def test_non_finite_spec_rejected_before_sampling(self, grid32, monkeypatch, name, value):
+        sampled = count_calls(monkeypatch, nlchb.kernel.sample_kernel)
+        spec = ModelSpec(grid32, spinodal_potential(), spinodal_material(), **{name: value})
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            Model.build(spec)
+        assert sampled == []
+
+    @pytest.mark.parametrize("mode", ["nonlocal", "local"])
+    def test_build_calibrates_once_and_carries_the_spec(self, grid32, monkeypatch, mode):
+        # validation reads the kernel's own mollifier instead of calibrating again
+        calibrated = count_calls(monkeypatch, nlchb.kernel.calibrate_mollifier)
+        spec = ModelSpec(grid32, spinodal_potential(), spinodal_material(), mode=mode,
+                         epsilon=0.3, gamma=0.6, shape_id="quartic", stabilization=3.5)
+        model = Model.build(spec)
+        nlchb.physics.validate_assumptions(model.kernel, model.a, model.potential, model.material)
+        assert len(calibrated) == (1 if mode == "nonlocal" else 0)
+        for f in dataclasses.fields(ModelSpec):
+            assert getattr(model, f.name) == getattr(spec, f.name), f.name
 
     @pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan")])
     def test_nonpositive_dt_rejected(self, grid32, dt):
