@@ -190,12 +190,18 @@ def _nu_at_corners(grid: Grid, nu_centers: np.ndarray) -> np.ndarray:
 
 def _viscous_parts(
     grid: Grid, material: MaterialParams, phi: np.ndarray, vel: MacVelocity
-) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> tuple[np.ndarray | float, np.ndarray | float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """(nu(phi) at centers, nu at corners, mac_deformation(vel)) of one state.
 
     The dissipation of a state and the variable-viscosity remainder of the
-    step that starts from it both read these.
+    step that starts from it both read these. With nu_max == nu_min both
+    viscosities are scalars: every element of the arrays would be nu_min
+    (the blend term is 0.0) and its corner mean, and a scalar factor gives
+    each product the bits of the array one.
     """
+    if material.nu_max == material.nu_min:
+        nu = material.nu_min
+        return nu, 0.25 * (((nu + nu) + nu) + nu), mac_deformation(grid, vel)
     nu = viscosity(material, phi)
     return nu, _nu_at_corners(grid, nu), mac_deformation(grid, vel)
 

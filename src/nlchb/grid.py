@@ -101,7 +101,7 @@ def make_grid(nx: int, ny: int, Lx: float, Ly: float) -> Grid:
     return Grid(int(nx), int(ny), float(Lx), float(Ly))
 
 
-@dataclass
+@dataclass(eq=False)
 class MacVelocity:
     """Staggered velocity: u on x-faces (nx+1, ny), v on y-faces (nx, ny+1).
 

@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import fft as _fft
-from scipy import integrate
 
 from .grid import Grid
+from .quadrature import quad
 
 __all__ = [
     "KernelResolutionWarning",
@@ -114,11 +114,11 @@ PROFILES = {
 def compute_cd(d: int) -> float:
     """Surface integral of (sigma . e1)^2 over the unit sphere, by quadrature."""
     if d == 2:
-        val, _ = integrate.quad(lambda t: np.cos(t) ** 2, 0.0, 2.0 * np.pi)
+        val, _ = quad(lambda t: np.cos(t) ** 2, 0.0, 2.0 * np.pi)
         return val
     if d == 3:
         # polar angle theta measured from e1; surface element 2 pi sin(theta)
-        val, _ = integrate.quad(lambda t: 2.0 * np.pi * np.cos(t) ** 2 * np.sin(t), 0.0, np.pi)
+        val, _ = quad(lambda t: 2.0 * np.pi * np.cos(t) ** 2 * np.sin(t), 0.0, np.pi)
         return val
     raise ValueError(f"unsupported dimension d={d}; expected 2 or 3")
 
@@ -140,9 +140,7 @@ class Mollifier:
     def renormalization_residual(self) -> float:
         """Relative defect of the calibration integral against 2/C_2."""
         target = 2.0 / compute_cd(2)
-        val, _ = integrate.quad(
-            lambda s: self.eta(s) * s ** (2 + 1 - self.gamma), 0.0, 1.0, limit=200
-        )
+        val, _ = quad(lambda s: self.eta(s) * s ** (2 + 1 - self.gamma), 0.0, 1.0, limit=200)
         return abs(val - target) / target
 
     def kernel_value(self, r, eps: float) -> np.ndarray:
@@ -183,7 +181,7 @@ def calibrate_mollifier(gamma: float, shape_id: str = "bump") -> Mollifier:
 @functools.lru_cache(maxsize=32)
 def _calibrated(gamma: float, shape_id: str) -> Mollifier:
     base, _ = PROFILES[shape_id]
-    raw, err = integrate.quad(
+    raw, err = quad(
         lambda s: base(s) * s ** (2 + 1 - gamma), 0.0, 1.0, limit=400, epsabs=1e-14, epsrel=1e-13
     )
     if not np.isfinite(raw) or raw <= 0.0 or err > 1e-9 * raw:
@@ -270,7 +268,7 @@ def _cell_averages(
     return avg
 
 
-@dataclass
+@dataclass(eq=False)
 class KernelGrid:
     """J_eps of `mollifier` sampled on the (2nx, 2ny) displacement lattice in FFT layout.
 
@@ -284,7 +282,7 @@ class KernelGrid:
     mollifier: Mollifier
     values: np.ndarray
     under_resolved: bool = False
-    _spectrum: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _spectrum: np.ndarray | None = field(default=None, repr=False)
 
     def spectrum(self) -> np.ndarray:
         if self._spectrum is None:
@@ -338,19 +336,19 @@ def sample_kernel(mollifier: Mollifier, epsilon: float, grid: Grid) -> KernelGri
     mj = np.arange(mj_max + 1)
     ZX, ZY = np.meshgrid(mi * dx, mj * dy, indexing="ij")
     R = np.hypot(ZX, ZY)
-    quad = mollifier.kernel_value(R, epsilon)
+    quadrant = mollifier.kernel_value(R, epsilon)
 
     inside = R < epsilon
     in_ring = np.maximum(mi[:, None], mj[None, :]) <= ring
     on_edge = edge_avg & (R + half_diag > epsilon)
     avg = inside & (in_ring | on_edge)
-    quad[~inside] = 0.0
-    quad[avg] = _cell_averages(mollifier, epsilon, ZX[avg], ZY[avg], dx, dy, floor)
+    quadrant[~inside] = 0.0
+    quadrant[avg] = _cell_averages(mollifier, epsilon, ZX[avg], ZY[avg], dx, dy, floor)
 
     # the index sets {m, -m} mod 2n of distinct m in [0, n] are disjoint
     for rows in (mi % (2 * nx), (-mi) % (2 * nx)):
         for cols in (mj % (2 * ny), (-mj) % (2 * ny)):
-            values[np.ix_(rows, cols)] = quad
+            values[np.ix_(rows, cols)] = quadrant
 
     return KernelGrid(
         grid=grid,
@@ -435,7 +433,7 @@ def kernel_norms(kernel: KernelGrid) -> dict[str, float]:
 
     # profiles here are nonincreasing, so |J'| = -J' and the integrand is smooth
     dj = functools.partial(kernel.mollifier.kernel_radial_derivative, eps=kernel.epsilon)
-    grad_inner, _ = integrate.quad(lambda r: 2.0 * np.pi * r * abs(float(dj(r))), 0.0, r0, limit=200)
+    grad_inner, _ = quad(lambda r: 2.0 * np.pi * r * abs(float(dj(r))), 0.0, r0, limit=200)
 
     K = np.fft.fftshift(kernel.values)
     zx = (np.arange(2 * g.nx) - g.nx)[:, None] * g.dx

@@ -99,7 +99,7 @@ class InvariantError(BlowUpError):
     """A ledgered step broke mass or incompressibility; carries its start state."""
 
 
-@dataclass
+@dataclass(eq=False)
 class SimState:
     """Time-stepped solution: t, step, phi, theta and the velocity.
 
@@ -120,7 +120,7 @@ class SimState:
     phi: np.ndarray
     theta: np.ndarray
     vel: MacVelocity
-    _terms: "_Terms | None" = field(default=None, init=False, repr=False, compare=False)
+    _terms: "_Terms | None" = field(default=None, init=False, repr=False)
 
     def copy(self) -> "SimState":
         """Deep copy of t, step, phi, theta and vel; the memo is dropped."""
@@ -200,7 +200,7 @@ def default_stabilization(potential: PotentialParams, a: np.ndarray | None) -> f
     return (a_inf + curvature) / 2.0 + 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Forcing:
     """External momentum force q (x- and y-face arrays) and heat source z
     (centers); a part left as None is zero."""

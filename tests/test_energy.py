@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import fields_energy
+from conftest import fields_energy, smooth_flow_state
 from nlchb.energy import (
     EnergyLedger,
     LEDGER_COLUMNS,
@@ -173,6 +173,39 @@ class TestDissipation:
             phi, mu, theta = (rng.standard_normal(grid.shape) for _ in range(3))
             d = dissipation(grid, mu, theta, mat, _viscous_parts(grid, mat, phi, vel))
             assert d >= 0.0
+
+    def test_constant_viscosity_scalars_keep_the_array_bits(self, monkeypatch):
+        # with nu_max == nu_min the viscous parts hold scalars; the dissipation
+        # and a ledgered step's row are bitwise those of the per-cell arrays
+        import nlchb.solver
+        from nlchb.energy import _nu_at_corners, mac_deformation
+        from nlchb.physics import viscosity
+        from nlchb.solver import Model, ModelSpec, advance
+
+        def array_parts(grid, material, phi, vel):
+            nu = viscosity(material, phi)
+            return nu, _nu_at_corners(grid, nu), mac_deformation(grid, vel)
+
+        grid = make_grid(32, 32, 1.0, 1.0)
+        mat = MaterialParams(K_cap=0.05, l_c=0.5, l_h=0.5, nu_min=0.7, nu_max=0.7)
+        state = smooth_flow_state(grid)
+        nu, nu_c, _ = _viscous_parts(grid, mat, state.phi, state.vel)
+        assert isinstance(nu, float) and isinstance(nu_c, float)
+        mu, theta = np.cos(state.phi), state.theta
+        diss = [
+            dissipation(grid, mu, theta, mat, parts(grid, mat, state.phi, state.vel))
+            for parts in (_viscous_parts, array_parts)
+        ]
+        assert np.float64(diss[0]).tobytes() == np.float64(diss[1]).tobytes()
+
+        model = Model.build(ModelSpec(grid, PotentialParams(eta_f=150.0), mat, epsilon=0.2, gamma=0.5))
+        rows = []
+        for parts in (_viscous_parts, array_parts):
+            monkeypatch.setattr(nlchb.solver, "_viscous_parts", parts)
+            ledger = EnergyLedger()
+            advance(model, smooth_flow_state(grid), 5e-4, ledger=ledger)
+            rows.append(np.array([ledger.rows[-1][c] for c in LEDGER_COLUMNS]))
+        assert rows[0].tobytes() == rows[1].tobytes()
 
 
 class TestBudgetResidual:

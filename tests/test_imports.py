@@ -3,11 +3,16 @@ module-level function or class in src/nlchb, and no method of such a class,
 is left without a caller.
 
 No linter runs on this code, so these AST scans are the check. The package
-`__init__.py` is left out: its imports are the public re-exports.
+`__init__.py` is left out: its imports are the public re-exports. A last test
+imports `nlchb.cli` in a child process and checks which scipy subpackages it
+loads.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -125,3 +130,13 @@ def test_no_unreferenced_definitions():
     package = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE}
     perfbench = [path.read_text(encoding="utf-8") for path in sorted((ROOT / "perfbench").glob("*.py"))]
     assert unreferenced_definitions(package, perfbench, exported) == []
+
+
+def test_cli_import_loads_no_scipy_integrate():
+    # scipy.integrate (and the optimize, sparse and linalg it pulls in) would
+    # add about 0.3 s and 25 MB to every command; nlchb needs only scipy.fft
+    heavy = ["scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg"]
+    code = f"import sys, nlchb.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

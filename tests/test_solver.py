@@ -781,3 +781,27 @@ class TestForcing:
             np.mean(state.theta - model.material.l_h * state.phi)
         )
         assert dh == pytest.approx(1e-3, rel=1e-10)
+
+
+def test_array_dataclasses_compare_by_identity():
+    # a generated __eq__ would compare the array fields and raise; the shipped
+    # spinodal state, its velocity, kernel and forcing compare by identity
+    import os
+
+    from nlchb.config import parse_config
+
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", "spinodal.cfg")
+    config = parse_config(open(path).read(), base_dir=os.path.dirname(path))
+    state = config.initial_state()
+    kernel = Model.build(config).kernel
+    twins = [
+        (state, state.copy()),
+        (state.vel, state.vel.copy()),
+        (kernel, dataclasses.replace(kernel)),
+        (config.forcing(), Forcing(z=np.zeros(config.grid.shape))),
+    ]
+    for obj, copy in twins:
+        assert obj == obj
+        assert not obj == copy
+        assert obj != copy
+        assert len({obj, copy}) == 2
