@@ -126,9 +126,7 @@ def cmd_resume(checkpoint_path: str) -> int:
     )
     outdir = _output_dir(config)
     model = Model.build(config)
-    dt = meta.get("dt")
-    if dt is None or dt <= 0.0:
-        dt = config.dt
+    dt = meta["dt"] if meta["dt"] is not None else config.dt
     if dt is None:
         print("checkpoint carries no step size and config dt is auto", file=sys.stderr)
         return 1
@@ -184,7 +182,7 @@ def cmd_sweep_eps(config_path: str, eps_list: list[float]) -> int:
         keep_ledgers=True,
     )
     for eps, ledger in report.ledgers.items():
-        subdir = os.path.join(outdir, f"eps_{eps:g}")
+        subdir = os.path.join(outdir, f"eps_{eps!r}")
         os.makedirs(subdir, exist_ok=True)
         with LedgerCsvWriter(os.path.join(subdir, "ledger.csv")) as csv:
             for row in ledger.rows:
@@ -195,13 +193,13 @@ def cmd_sweep_eps(config_path: str, eps_list: list[float]) -> int:
     for i, eps in enumerate(report.eps):
         if report.valid[i]:
             print(
-                f"  eps={eps:<8g} dist_phi={report.columns['dist_phi'][i]:.6e} "
+                f"  eps={eps!r:<8} dist_phi={report.columns['dist_phi'][i]:.6e} "
                 f"dist_theta={report.columns['dist_theta'][i]:.6e} "
                 f"dist_u={report.columns['dist_u'][i]:.6e} "
                 f"energy_gap={report.columns['energy_gap'][i]:.6e}"
             )
         else:
-            print(f"  eps={eps:<8g} DIVERGED (excluded from ratios)")
+            print(f"  eps={eps!r:<8} DIVERGED (excluded from ratios)")
     print(f"wrote {path}")
     return 0
 

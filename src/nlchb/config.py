@@ -11,7 +11,7 @@ is a valid configuration.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .physics import MaterialParams, PotentialParams
 from .snapshots import read_snapshot
 from .solver import Forcing, ModelSpec, SimState
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "DEFAULT_CONFIG_TEXT"]
+__all__ = ["ConfigError", "RunConfig", "parse_config"]
 
 
 class ConfigError(ValueError):
@@ -102,11 +102,6 @@ SCHEMA: dict[str, dict[str, tuple[str, str]]] = {
     },
 }
 
-DEFAULT_CONFIG_TEXT = "\n".join(
-    f"[{section}]\n" + "\n".join(f"{k} = {v[0]}" for k, v in keys.items()) + "\n"
-    for section, keys in SCHEMA.items()
-)
-
 
 def _convert(kind: str, raw: str):
     if kind == "int":
@@ -143,9 +138,10 @@ class RunConfig(ModelSpec):
     t_end: float
     safety: float
     cadence: int
-    initial: dict
-    forcing_spec: dict
-    output: dict
+    # compared by ==, left out of the hash: a dict has none
+    initial: dict = field(hash=False)
+    forcing_spec: dict = field(hash=False)
+    output: dict = field(hash=False)
     seed: int
     raw_text: str = ""
     base_dir: str = "."

@@ -14,6 +14,7 @@ distance columns of a solution sweep), never as fitted rates.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
 
@@ -23,7 +24,7 @@ from .energy import EnergyLedger, e_local, e_nl
 from .grid import Grid, gradient_cc
 from .kernel import calibrate_mollifier, compute_a, convolve, sample_kernel
 from .physics import MaterialParams, PotentialParams
-from .solver import BlowUpError, Model, ModelSpec, SimState, integrate, suggest_dt
+from .solver import BlowUpError, Model, ModelSpec, SimState, advance, integrate, suggest_dt
 
 __all__ = [
     "SweepReport",
@@ -182,9 +183,10 @@ def solution_sweep(
     end-time energy gap under the shared local functional. Diverged runs are
     marked invalid and their columns hold NaN.
 
-    The reference and the members advance in lockstep, one sampling interval
-    at a time, and the distances accumulate as they go: the sweep holds one
-    current state per run, whatever the number of samples.
+    One `integrate` call runs the reference, and after each of its steps every
+    live member takes the same step with `advance`, so the distances
+    accumulate as they go: the sweep holds one current state per run,
+    whatever the number of samples.
     """
     eps = _check_eps_list(eps_list)
 
@@ -204,34 +206,33 @@ def solution_sweep(
     ledgers = [EnergyLedger() if keep_ledgers else None for _ in eps]
     # current state per member (None once it diverged) and its running sums
     # for the phi, theta and u distances
-    ref = state0
-    states: list[SimState | None] = [state0] * len(eps)
+    states: list[SimState | None] = [copy.copy(state0) for _ in eps]
     sums = [[0.0, 0.0, 0.0] for _ in eps]
 
-    def step_all(steps: int) -> None:
-        """Advance every live run to `steps` steps after state0."""
-        nonlocal ref
-        t = state0.t + steps * dt
-        try:
-            ref = integrate(ref_model, ref, dt, t)
-        except BlowUpError as exc:
-            raise BlowUpError("local reference run diverged; sweep aborted", exc.state) from exc
+    def sample(ref: SimState) -> None:
+        """Add the distances at `ref` when its step is on the sampling grid."""
+        i, off = divmod(ref.step - state0.step, sample_every)
+        if not off:
+            for state, s in zip(states, sums):
+                if state is not None:
+                    for j, gap in enumerate(_squared_gaps(state, ref)):
+                        s[j] += w[i] * gap * area
+
+    def step_members(ref: SimState) -> None:
+        """Advance every live member by the step the reference just took."""
         for k, state in enumerate(states):
             if state is not None:
                 try:
-                    states[k] = integrate(models[k], state, dt, t, ledger=ledgers[k])
+                    states[k] = advance(models[k], state, dt, ledger=ledgers[k])
                 except BlowUpError:
                     states[k] = None
+        sample(ref)
 
-    for i in range(n_samples):
-        if i:
-            step_all(i * sample_every)
-        for state, s in zip(states, sums):
-            if state is not None:
-                for j, gap in enumerate(_squared_gaps(state, ref)):
-                    s[j] += w[i] * gap * area
-    if n_steps % sample_every:
-        step_all(n_steps)
+    sample(state0)
+    try:
+        ref = integrate(ref_model, state0, dt, state0.t + n_steps * dt, on_step=step_members)
+    except BlowUpError as exc:
+        raise BlowUpError("local reference run diverged; sweep aborted", exc.state) from exc
 
     e_ref_local = ref_model.total_energy(ref)
     cols: dict[str, list[float]] = {

@@ -94,7 +94,7 @@ def _parse_kv(line: str) -> dict[str, str]:
 
 def read_snapshot(path: str, grid: Grid | None = None) -> tuple[SimState, dict]:
     """Read a snapshot; returns (state, meta). Refuses partial or mismatched
-    files, and header numbers or fields holding NaN or inf."""
+    files, header numbers or fields holding NaN or inf, and a dt <= 0."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if not blob.startswith(MAGIC):
@@ -115,6 +115,8 @@ def read_snapshot(path: str, grid: Grid | None = None) -> tuple[SimState, dict]:
         bad = [k for k, v in numbers.items() if v is not None and not math.isfinite(v)]
         if bad:
             raise ValueError(f"non-finite {', '.join(bad)}")
+        if meta["dt"] is not None and meta["dt"] <= 0.0:
+            raise ValueError(f"non-positive dt {meta['dt']!r}")
         file_grid = meta["grid"] = make_grid(nx, ny, lx, ly)
         declared = []
         for token in lines[2].split("=", 1)[1].split():

@@ -625,7 +625,8 @@ def advance(
     forcing: Forcing | None = None,
     ledger: EnergyLedger | None = None,
 ) -> SimState:
-    """One full step (phi -> theta -> velocity); returns the new state.
+    """One full step (phi -> theta -> velocity); returns the new state. Its two
+    callers: `integrate`, and `solution_sweep` for each member of an eps sweep.
 
     The one finiteness check of a run: NaN and inf carry through the
     sub-steps, so a step whose phi, theta or velocity holds one raises
@@ -684,10 +685,11 @@ def integrate(
 ) -> SimState:
     """Advance with fixed dt while t < t_end - dt/2; returns the last state.
 
-    `on_step(state)` is called after every step. The run steps a shallow
-    copy of `state`, so the terms it computes for its start state are not
-    kept on the caller's object; a memo the caller's state already holds is
-    shared. With no step due, `state` itself is returned.
+    `on_step(state)` is called after every step (an eps sweep steps its members
+    there). The run steps a shallow copy of `state`, so the terms it computes
+    for its start state are not kept on the caller's object; a memo the
+    caller's state already holds is shared. With no step due, `state` itself
+    is returned.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")

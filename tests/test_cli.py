@@ -95,6 +95,24 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
+def resume_refused_header(tmp_path, capsys, pattern, replacement, message):
+    """Resume from a run's snapshot with `pattern` in its header replaced:
+    exit 1 with one error line holding `message`, and no file written."""
+    cfg = write_cfg(tmp_path, FAST_RUN)
+    assert main(["run", cfg]) == 0
+    out = tmp_path / "out"
+    snap = out / "snapshot_00000010.bin"
+    blob, count = re.subn(pattern, replacement, snap.read_bytes(), count=1)
+    assert count == 1
+    snap.write_bytes(blob)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert main(["resume", str(snap)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 class TestRun:
     def test_run_writes_outputs_and_exits_zero(self, tmp_path):
         cfg = write_cfg(tmp_path, FAST_RUN)
@@ -303,18 +321,11 @@ class TestResume:
 
     def test_resume_from_non_finite_header_exits_1_writing_nothing(self, tmp_path, capsys):
         # t = nan used to resume as "finished at t=nan after 0 steps" and write a checkpoint
-        cfg = write_cfg(tmp_path, FAST_RUN)
-        assert main(["run", cfg]) == 0
-        out = tmp_path / "out"
-        snap = out / "snapshot_00000010.bin"
-        blob = snap.read_bytes()
-        snap.write_bytes(re.sub(rb"\nt=[^ ]+ ", b"\nt=nan ", blob, count=1))
-        before = {p.name: p.read_bytes() for p in out.iterdir()}
-        capsys.readouterr()
-        assert main(["resume", str(snap)]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error:") and "non-finite t" in err[0]
-        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        resume_refused_header(tmp_path, capsys, rb"\nt=[^ ]+ ", b"\nt=nan ", "non-finite t")
+
+    def test_resume_from_non_positive_dt_exits_1_writing_nothing(self, tmp_path, capsys):
+        # dt = -0.5 used to resume with the config's dt and exit 0
+        resume_refused_header(tmp_path, capsys, rb" dt=[^ \n]+", b" dt=-0.5", "non-positive dt")
 
     @pytest.mark.parametrize(
         "config_text, message",
@@ -415,6 +426,19 @@ class TestValidateAndSweeps:
             for cell in row:
                 float(cell)
 
+    def test_sweep_eps_members_equal_under_g_keep_their_own_ledgers(self, tmp_path, capsys):
+        # "{:g}" printed 0.4000001 as 0.4, so its member wrote into eps_0.4
+        cfg = write_cfg(tmp_path, FAST_RUN.replace("t_end = 2e-2", "t_end = 5e-3"))
+        capsys.readouterr()
+        assert main(["sweep-eps", cfg, "--eps", "0.4000001,0.4,0.3"]) == 0
+        out = tmp_path / "out"
+        names = ["eps_0.4000001", "eps_0.4", "eps_0.3"]
+        assert sorted(p.name for p in out.iterdir() if p.is_dir()) == sorted(names)
+        ledgers = {(out / name / "ledger.csv").read_bytes() for name in names}
+        assert len(ledgers) == 3
+        summary = [line.split()[0] for line in capsys.readouterr().out.splitlines()[:3]]
+        assert summary == ["eps=0.4000001", "eps=0.4", "eps=0.3"]
+
     def test_sweep_eps_diverged_reference_exits_2(self, tmp_path, monkeypatch, capsys):
         diverge_after(monkeypatch, 2, "local")
         cfg = write_cfg(tmp_path, FAST_RUN.replace("t_end = 2e-2", "t_end = 5e-3"))
@@ -447,5 +471,5 @@ class TestValidateAndSweeps:
                     csv.write_row(row)
             lines = [",".join(LEDGER_COLUMNS)]
             lines += [",".join(repr(row[c]) for c in LEDGER_COLUMNS) for row in ledger.rows]
-            written = (tmp_path / "out" / f"eps_{eps:g}" / "ledger.csv").read_bytes()
+            written = (tmp_path / "out" / f"eps_{eps!r}" / "ledger.csv").read_bytes()
             assert written == expected.read_bytes() == ("\n".join(lines) + "\n").encode()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nlchb.config import ConfigError, DEFAULT_CONFIG_TEXT, parse_config
+from nlchb.config import ConfigError, parse_config
 from nlchb.kernel import KernelResolutionWarning
 from nlchb.solver import Model
 
@@ -19,12 +19,13 @@ class TestDefaults:
         assert cfg.potential.eta_f == 150.0
         assert cfg.material.l_c == 0.5
 
-    def test_default_config_text_round_trips(self):
-        cfg = parse_config(DEFAULT_CONFIG_TEXT)
-        ref = parse_config("")
-        assert cfg.grid == ref.grid
-        assert cfg.material == ref.material
-        assert cfg.potential == ref.potential
+    def test_equal_configs_hash_equal(self):
+        # the dict sections are compared but left out of the hash
+        cfg = parse_config("")
+        assert hash(cfg) == hash(parse_config(""))
+        assert {cfg: 1}[parse_config("")] == 1
+        other = parse_config("[output]\ndirectory = elsewhere\n")
+        assert other != cfg and other.output != cfg.output
 
     def test_comments_and_blank_lines_ignored(self):
         cfg = parse_config("# a comment\n\n[grid]\nnx = 16  # inline\nny = 16\n")

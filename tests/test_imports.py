@@ -1,6 +1,6 @@
 """No module under src/nlchb or tests imports a name it never uses, and no
-module-level function or class in src/nlchb, and no method of such a class,
-is left without a caller.
+module-level function, class or constant in src/nlchb, and no method of such
+a class, is left without a reader.
 
 No linter runs on this code, so these AST scans are the check. The package
 `__init__.py` is left out: its imports are the public re-exports. A last test
@@ -67,11 +67,17 @@ def used_names(tree: ast.AST, skip: tuple[int, int] = (0, -1), strings: bool = F
 
 
 def definitions(tree: ast.Module):
-    """(qualified name, node) of each module-level function and class of `tree`
-    and of each method of those classes but the dunder ones."""
+    """(qualified name, node) of each module-level function, class and
+    constant (a name assigned to) of `tree` and of each method of those
+    classes, the dunder ones left out."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                    yield target.id, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
@@ -81,8 +87,8 @@ def definitions(tree: ast.Module):
 def unreferenced_definitions(
     package: dict[str, str], outside: list[str], exported: set[str]
 ) -> list[str]:
-    """Module-level functions and classes of `package` (module name -> source),
-    and methods of those classes, referenced by name nowhere but in their own
+    """Module-level functions, classes and constants of `package` (module name
+    -> source), and methods of those classes, referenced by name nowhere but in their own
     definition: not elsewhere in their module, not in another package module,
     not in an `outside` source, and not among the `exported` names."""
     trees = {name: ast.parse(source) for name, source in package.items()}
@@ -91,8 +97,9 @@ def unreferenced_definitions(
     for name, tree in trees.items():
         elsewhere = outside_names.union(*(used_names(t) for n, t in trees.items() if n != name))
         for qualified, node in definitions(tree):
-            if node.name not in elsewhere:
-                if node.name not in used_names(tree, (node.lineno, node.end_lineno)):
+            short = qualified.rpartition(".")[2]
+            if short not in elsewhere:
+                if short not in used_names(tree, (node.lineno, node.end_lineno)):
                     dead.append(f"{name}.{qualified}")
     return dead
 
@@ -117,6 +124,15 @@ def test_definition_scanner_finds_dead_methods():
     )
     assert unreferenced_definitions({"a": source}, [], set()) == ["a.Box.loop"]
     assert unreferenced_definitions({"a": source}, ['("a", "Box.loop")'], set()) == []
+
+
+def test_definition_scanner_finds_dead_constants():
+    package = {
+        "a": '__all__ = ["LIMIT"]\nLIMIT = 3\nSPARE: int = LIMIT\n_TABLE = {}\n',
+        "b": "from .a import LIMIT\n\nSIZE = 2 * LIMIT\n",
+    }
+    assert unreferenced_definitions(package, [], set()) == ["a.SPARE", "a._TABLE", "b.SIZE"]
+    assert unreferenced_definitions(package, ["print(SIZE)\n"], {"SPARE"}) == ["a._TABLE"]
 
 
 def test_no_unreferenced_definitions():

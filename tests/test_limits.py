@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     count_calls,
     fields_energy,
+    patch_everywhere,
     spinodal_material,
     spinodal_potential,
     spinodal_state,
@@ -147,6 +148,17 @@ class TestSolutionSweep:
         assert (md["n_steps"], md["sample_every"]) == (30, 3)  # 10 sampling intervals
         assert len(calls) == len(eps) * (1 + 1 + md["n_steps"]) == 64
 
+    def test_one_reference_run_steps_every_member(self, monkeypatch):
+        # 5 sampling intervals and 3 steps after the last sample, all in one integrate call
+        integrates = count_calls(monkeypatch, nlchb.solver.integrate)
+        advances = count_calls(monkeypatch, nlchb.solver.advance)
+        eps = [0.5, 0.4, 0.3]
+        report = tiny_sweep(eps, dt=1e-3, t_end=23e-3, sample_count=5)
+        md = report.metadata
+        assert (md["sample_every"], md["n_steps"] % md["sample_every"]) == (4, 3)
+        assert len(integrates) == 1
+        assert len(advances) == (len(eps) + 1) * md["n_steps"]
+
     def test_each_model_built_once(self, monkeypatch):
         # with dt auto the smallest-eps model sets dt and then runs: eps + 1 builds
         raw = Model.build.__func__
@@ -272,7 +284,7 @@ def diverge_after(monkeypatch, steps, mode, epsilon=None):
             raise BlowUpError("forced divergence", state)
         return raw(model, state, *args, **kwargs)
 
-    monkeypatch.setattr(nlchb.solver, "advance", advance)
+    patch_everywhere(monkeypatch, raw, advance)
 
 
 class TestStreamedSweep:

@@ -134,9 +134,10 @@ class TestFailureModes:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("t", "nan"), ("dt", "inf"), ("lx", "inf"), ("ly", "nan")],
+        [("t", "nan"), ("dt", "inf"), ("lx", "inf"), ("ly", "nan"), ("dt", "0.0"), ("dt", "-0.5")],
     )
     def test_non_finite_header_number_rejected(self, state16, tmp_path, key, value):
+        # a dt <= 0 is refused with them: a resume would step with it
         grid, state = state16
         path = tmp_path / "snap.bin"
         write_snapshot(str(path), state, grid, dt=1e-3)
@@ -144,7 +145,8 @@ class TestFailureModes:
         blob, count = re.subn(rb"(?<=[ \n])" + key.encode() + rb"=[^ \n]+", f"{key}={value}".encode(), blob, 1)
         assert count == 1
         path.write_bytes(blob)
-        with pytest.raises(SnapshotError, match=f"non-finite {key}"):
+        message = f"non-finite {key}" if value in ("nan", "inf") else f"non-positive {key}"
+        with pytest.raises(SnapshotError, match=f"malformed header: {message}"):
             read_snapshot(str(path))
 
     def test_refused_write_leaves_no_files(self, state16, tmp_path):
