@@ -10,10 +10,12 @@ homogeneous Neumann boundary conditions realised by even ghost reflection.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as _fft
 
 __all__ = [
     "Grid",
@@ -31,6 +33,27 @@ __all__ = [
 ]
 
 MIN_CELLS = 8
+
+
+def _load_pocketfft():
+    """scipy's compiled pocketfft, loaded by file: the `scipy.fft` package would also
+    load scipy.special, numpy.f2py and numpy.testing. Each transform passes it the
+    arguments that scipy.fft's wrappers pass for norm None/"forward" and one worker."""
+    scipy = importlib.util.find_spec("scipy")
+    folder = os.path.join(os.path.dirname(scipy.origin), "fft", "_pocketfft") if scipy else None
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES if folder else ():
+        path = os.path.join(folder, "pypocketfft" + suffix)
+        if os.path.isfile(path):
+            loader = importlib.machinery.ExtensionFileLoader("pypocketfft", path)
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_file_location("pypocketfft", path, loader=loader))
+            loader.exec_module(module)
+            return module
+    from scipy.fft._pocketfft import pypocketfft  # no such file: the same module, by package
+    return pypocketfft
+
+
+_pfft = _load_pocketfft()
 
 
 @dataclass(frozen=True)
@@ -147,11 +170,12 @@ class MacVelocity:
 def dct2_transform(values: np.ndarray) -> np.ndarray:
     """Forward cosine transform; coefficient (0, 0) equals nx*ny*mean(field).
 
-    Normalization: scipy's unnormalized DCT-II divided by 4, fixed so that
-    constants map to the single (0, 0) coefficient with the documented scale.
-    The input is not checked: NaN and inf carry through to the coefficients.
+    Normalization: pocketfft's unnormalized DCT-II, called as `scipy.fft.dctn`
+    calls it, divided by 4, fixed so that constants map to the single (0, 0)
+    coefficient with the documented scale. The input is not checked: NaN and
+    inf carry through to the coefficients.
     """
-    coeffs = _fft.dctn(values, type=2)
+    coeffs = _pfft.dct(values, 2, (0, 1), 0, None, 1)
     coeffs /= 4.0
     return coeffs
 
@@ -161,7 +185,8 @@ def dct2_inverse(coeffs: np.ndarray) -> np.ndarray:
 
     `coeffs` is left unchanged: the transform runs in place on the scaled copy.
     """
-    return _fft.idctn(coeffs * 4.0, type=2, overwrite_x=True)
+    scaled = coeffs * 4.0
+    return _pfft.dct(scaled, 3, (0, 1), 2, scaled, 1)
 
 
 def laplacian_neumann(grid: Grid, values: np.ndarray) -> np.ndarray:

@@ -26,9 +26,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as _fft
 
-from .grid import Grid
+from .grid import Grid, _pfft
 from .quadrature import quad
 
 __all__ = [
@@ -286,7 +285,7 @@ class KernelGrid:
 
     def spectrum(self) -> np.ndarray:
         if self._spectrum is None:
-            self._spectrum = _fft.rfft2(self.values)
+            self._spectrum = _pfft.r2c(self.values, (0, 1), True, 0, None, 1)  # rfft2
         return self._spectrum
 
     def l1(self) -> float:
@@ -372,6 +371,7 @@ def convolve(kernel: KernelGrid, values: np.ndarray) -> np.ndarray:
     The result is bitwise that of `irfft2(rfft2(pad) * spectrum)` on the
     (2nx, 2ny) zero-padded field, computed pass by pass: `rfft2` is an r2c
     pass along axis 1 and then a c2c pass along axis 0, `irfft2` the reverse.
+    Each pass calls pocketfft as `scipy.fft.rfft`, `fft`, `ifft` and `irfft` call it.
     Rows nx..2nx-1 of the padded field are zero, so the r2c pass runs only on
     the nx rows of `values`; only rows < nx of the result are kept, so the
     c2r pass runs only on those. Both inverse passes are unnormalised and the
@@ -381,10 +381,14 @@ def convolve(kernel: KernelGrid, values: np.ndarray) -> np.ndarray:
     _check_same_grid(kernel, values)
     g = kernel.grid
     nx, ny = g.nx, g.ny
-    spec = _fft.fft(_fft.rfft(values, n=2 * ny, axis=1), n=2 * nx, axis=0, overwrite_x=True)
+    pad = np.zeros((nx, 2 * ny))
+    pad[:, :ny] = values
+    spec = np.zeros((2 * nx, ny + 1), complex)
+    spec[:nx] = _pfft.r2c(pad, (1,), True, 0, None, 1)
+    _pfft.c2c(spec, (0,), True, 0, spec, 1)
     spec *= kernel.spectrum()
-    rows = _fft.ifft(spec, axis=0, norm="forward", overwrite_x=True)[:nx]
-    out = _fft.irfft(rows, n=2 * ny, axis=1, norm="forward")[:, :ny]
+    _pfft.c2c(spec, (0,), False, 0, spec, 1)
+    out = _pfft.c2r(spec[:nx], (1,), 2 * ny, False, 0, None, 1)[:, :ny]
     return out * (1.0 / (4 * nx * ny)) * g.cell_area
 
 

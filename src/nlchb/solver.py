@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as _fft
 
 from .energy import (
     EnergyLedger,
@@ -50,6 +49,7 @@ from .grid import (
     Grid,
     MacVelocity,
     _along,
+    _pfft,
     centers_to_faces,
     dct2_inverse,
     dct2_transform,
@@ -377,11 +377,11 @@ def _implicit_solve(den: np.ndarray, sine1_axis: int, rhs_int: np.ndarray) -> np
     """(alpha - nu Delta) on one face set, `den` its `_sine_denominators` entry: sine-I
     along `sine1_axis`, sine-II along the other, which the inverse transforms first."""
     types = (1, 2) if sine1_axis == 0 else (2, 1)
-    chat = _fft.dst(rhs_int, type=types[0], axis=0)
-    chat = _fft.dst(chat, type=types[1], axis=1, overwrite_x=True)
+    chat = _pfft.dst(rhs_int, types[0], (0,), 0, None, 1)
+    _pfft.dst(chat, types[1], (1,), 0, chat, 1)
     chat /= den
-    chat = _fft.idst(chat, type=2, axis=1 - sine1_axis, overwrite_x=True)
-    return _fft.idst(chat, type=1, axis=sine1_axis, overwrite_x=True)
+    _pfft.dst(chat, 3, (1 - sine1_axis,), 2, chat, 1)  # idst type 2
+    return _pfft.dst(chat, 1, (sine1_axis,), 2, chat, 1)  # idst type 1
 
 
 def momentum_advection(grid: Grid, vel: MacVelocity) -> tuple[np.ndarray, np.ndarray]:
@@ -470,7 +470,8 @@ def project(grid: Grid, vel: MacVelocity) -> MacVelocity:
     Returns a new velocity; `vel` is left unchanged.
     """
     # dct2_transform, run in place on the divergence that only this call holds
-    coeffs = _fft.dctn(vel.divergence(), type=2, overwrite_x=True)
+    div = vel.divergence()
+    coeffs = _pfft.dct(div, 2, (0, 1), 0, div, 1)
     coeffs /= 4.0
     np.negative(coeffs, out=coeffs)
     coeffs /= _projection_eigenvalues(grid)

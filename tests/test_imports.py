@@ -3,9 +3,10 @@ module-level function, class or constant in src/nlchb, and no method of such
 a class, is left without a reader.
 
 No linter runs on this code, so these AST scans are the check. The package
-`__init__.py` is left out: its imports are the public re-exports. A last test
-imports `nlchb.cli` in a child process and checks which scipy subpackages it
-loads.
+`__init__.py` is left out: its imports are the public re-exports. The last
+tests import `nlchb.cli` in a child process and check which scipy and numpy
+subpackages it loads: nlchb loads scipy's compiled pocketfft by file, never
+the `scipy.fft` package, and calls it as scipy's wrappers do.
 """
 
 import ast
@@ -150,8 +151,19 @@ def test_no_unreferenced_definitions():
 
 def test_cli_import_loads_no_scipy_integrate():
     # scipy.integrate (and the optimize, sparse and linalg it pulls in) would
-    # add about 0.3 s and 25 MB to every command; nlchb needs only scipy.fft
+    # add about 0.3 s and 25 MB to every command; nlchb needs only scipy's
+    # compiled pocketfft, which it loads by file
     heavy = ["scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg"]
+    code = f"import sys, nlchb.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_scipy_fft_package():
+    # the scipy.fft package, and the scipy.special, numpy.f2py and numpy.testing
+    # it pulls in, would add about 0.25 s and 20 MB to every command
+    heavy = ["scipy.fft", "scipy.special", "numpy.f2py", "numpy.testing"]
     code = f"import sys, nlchb.cli; print([m for m in {heavy!r} if m in sys.modules])"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
