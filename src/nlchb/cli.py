@@ -11,13 +11,13 @@ disk), or a diverged sweep-eps reference run.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
 import numpy as np
 
 from .config import ConfigError, RunConfig, parse_config
-from .energy import EnergyLedger
 from .kernel import (
     calibrate_mollifier,
     compute_cd,
@@ -25,7 +25,7 @@ from .kernel import (
     convolve_direct,
     sample_kernel,
 )
-from .limits import gamma_sweep, solution_sweep
+from .limits import _check_eps_list, gamma_sweep, solution_sweep
 from .physics import validate_assumptions
 from .solver import BlowUpError, Forcing, Model, SimState, integrate, suggest_dt
 from .snapshots import LedgerCsvWriter, _cut_ledger, read_snapshot, write_ppm, write_snapshot
@@ -68,12 +68,9 @@ def _run_loop(
     outdir: str,
     append_csv: bool,
 ) -> int:
-    ledger = EnergyLedger()
     csv = LedgerCsvWriter(os.path.join(outdir, "ledger.csv"), append=append_csv)
 
     def on_step(state: SimState) -> None:
-        csv.write_row(ledger.rows[-1])
-        ledger.rows.clear()
         if state.step % config.cadence == 0:
             csv.flush()  # every row up to a snapshot is on disk before it
             _emit_outputs(config, outdir, state, dt)
@@ -86,7 +83,7 @@ def _run_loop(
                 dt,
                 config.t_end,
                 forcing,
-                ledger,
+                csv,
                 on_step=on_step,
             )
         except BlowUpError as exc:
@@ -167,26 +164,27 @@ def cmd_sweep_eps(config_path: str, eps_list: list[float]) -> int:
     config = _load_config(config_path)
     outdir = _output_dir(config)
     state = config.initial_state()
-    report = solution_sweep(
-        config.grid,
-        config.potential,
-        config.material,
-        state,
-        eps_list,
-        gamma=config.gamma,
-        shape_id=config.shape_id,
-        t_end=config.t_end,
-        dt=config.dt,
-        stabilization=config.stabilization,
-        safety=config.safety,
-        keep_ledgers=True,
-    )
-    for eps, ledger in report.ledgers.items():
-        subdir = os.path.join(outdir, f"eps_{eps!r}")
-        os.makedirs(subdir, exist_ok=True)
-        with LedgerCsvWriter(os.path.join(subdir, "ledger.csv")) as csv:
-            for row in ledger.rows:
-                csv.write_row(row)
+    eps_list = _check_eps_list(eps_list)  # before any member's directory is made
+    with contextlib.ExitStack() as stack:
+        ledgers = []
+        for eps in eps_list:
+            subdir = os.path.join(outdir, f"eps_{eps!r}")
+            os.makedirs(subdir, exist_ok=True)
+            ledgers.append(stack.enter_context(LedgerCsvWriter(os.path.join(subdir, "ledger.csv"))))
+        report = solution_sweep(
+            config.grid,
+            config.potential,
+            config.material,
+            state,
+            eps_list,
+            gamma=config.gamma,
+            shape_id=config.shape_id,
+            t_end=config.t_end,
+            dt=config.dt,
+            stabilization=config.stabilization,
+            safety=config.safety,
+            ledgers=ledgers,
+        )
     path = os.path.join(outdir, "sweep_eps.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(report.csv_lines()) + "\n")

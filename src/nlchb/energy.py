@@ -66,19 +66,27 @@ LEDGER_COLUMNS = (
 
 @dataclass
 class EnergyLedger:
-    """Append-only per-step accounting; one row per completed step."""
+    """Append-only per-step accounting, one row per completed step: `append`
+    checks a row and `write_row` keeps it in `rows` (`LedgerCsvWriter`, in
+    `snapshots`, writes it to the ledger CSV instead)."""
 
     rows: list[dict] = field(default_factory=list)
+    _last_t: float | None = field(default=None, init=False, repr=False)
 
     def append(self, row: dict) -> None:
-        """Keep a row with every column and t above the last row's; `advance`,
+        """Write a row with every column and t above the last row's; `advance`,
         not this method, rejects a row holding NaN or inf."""
         missing = set(LEDGER_COLUMNS) - set(row)
         if missing:
             raise ValueError(f"ledger row missing columns: {sorted(missing)}")
-        if self.rows and not row["t"] > self.rows[-1]["t"]:
+        if self._last_t is not None and not row["t"] > self._last_t:
             raise ValueError("ledger rows must be strictly increasing in t")
-        self.rows.append({c: float(row[c]) for c in LEDGER_COLUMNS})
+        self.write_row({c: float(row[c]) for c in LEDGER_COLUMNS})
+        self._last_t = float(row["t"])
+
+    def write_row(self, row: dict) -> None:
+        """Keep a checked row of floats."""
+        self.rows.append(row)
 
     def column(self, name: str) -> np.ndarray:
         return np.array([r[name] for r in self.rows])

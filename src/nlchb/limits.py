@@ -36,11 +36,7 @@ __all__ = [
 
 @dataclass
 class SweepReport:
-    """Per-epsilon table of scalars plus metadata; epsilons strictly decreasing.
-
-    `ledgers` maps eps to the energy ledger of each valid member when a
-    solution sweep keeps them; `csv_lines` leaves them out.
-    """
+    """Per-epsilon table of scalars plus metadata; epsilons strictly decreasing."""
 
     kind: str
     eps: list[float]
@@ -48,7 +44,6 @@ class SweepReport:
     target: float | None = None
     metadata: dict = field(default_factory=dict)
     valid: list[bool] = field(default_factory=list)
-    ledgers: dict[float, EnergyLedger] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not all(a > b for a, b in zip(self.eps, self.eps[1:])):
@@ -173,7 +168,7 @@ def solution_sweep(
     stabilization: float | None = None,
     safety: float = 0.4,
     sample_count: int = 200,
-    keep_ledgers: bool = False,
+    ledgers: list[EnergyLedger | None] | None = None,
 ) -> SweepReport:
     """Run the nonlocal system per epsilon and a local reference; tabulate distances.
 
@@ -181,7 +176,9 @@ def solution_sweep(
     epsilon: space-time L2 distances of phi, theta, u to the reference
     (trapezoidal in time on the sampling grid), end-time L2 distances, and the
     end-time energy gap under the shared local functional. Diverged runs are
-    marked invalid and their columns hold NaN.
+    marked invalid and their columns hold NaN. `ledgers` holds one ledger or None
+    per epsilon: a member appends each step's row to its own, and a diverged
+    member's ledger keeps the rows it made.
 
     One `integrate` call runs the reference, and after each of its steps every
     live member takes the same step with `advance`, so the distances
@@ -203,7 +200,7 @@ def solution_sweep(
     w = _trapezoid_weights(n_samples, sample_every * dt)
     area = grid.cell_area
 
-    ledgers = [EnergyLedger() if keep_ledgers else None for _ in eps]
+    ledgers = ledgers or [None] * len(eps)
     # current state per member (None once it diverged) and its running sums
     # for the phi, theta and u distances
     states: list[SimState | None] = [copy.copy(state0) for _ in eps]
@@ -276,9 +273,4 @@ def solution_sweep(
             "mass_phi0": float(state0.phi.sum() * area),
         },
         valid=[state is not None for state in states],
-        ledgers={
-            e: ledger
-            for e, ledger, state in zip(eps, ledgers, states)
-            if ledger is not None and state is not None
-        },
     )

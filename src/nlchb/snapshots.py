@@ -16,7 +16,7 @@ import os
 
 import numpy as np
 
-from .energy import LEDGER_COLUMNS
+from .energy import LEDGER_COLUMNS, EnergyLedger
 from .grid import Grid, MacVelocity, make_grid
 from .solver import SimState
 
@@ -184,11 +184,13 @@ def write_ppm(path: str, values: np.ndarray) -> None:
         fh.write(np.ascontiguousarray(img).tobytes())
 
 
-class LedgerCsvWriter:
-    """Streaming append-only writer for the per-step ledger CSV; the header is
-    written when the file it opens is empty."""
+class LedgerCsvWriter(EnergyLedger):
+    """An `EnergyLedger` that writes each checked row to the ledger CSV as the
+    step makes it, and keeps none; the header is written when the file it
+    opens is empty. A writer opened with `append` starts with no last t."""
 
     def __init__(self, path: str, append: bool = False):
+        super().__init__()
         self.path = path
         self._fh = open(path, "a" if append else "w", encoding="utf-8")
         if self._fh.tell() == 0:

@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 import nlchb.cli
 from nlchb.cli import main
-from nlchb.energy import LEDGER_COLUMNS
+from nlchb.energy import LEDGER_COLUMNS, EnergyLedger
 from nlchb.grid import make_grid
 from nlchb.snapshots import LedgerCsvWriter, read_snapshot, write_snapshot
 
@@ -93,6 +94,21 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text.format(out=tmp_path / "out"))
     return str(path)
+
+
+def member_rows(out, eps):
+    """The rows of a sweep member's ledger.csv, as text, after its header."""
+    lines = (out / f"eps_{eps!r}" / "ledger.csv").read_text().splitlines()
+    assert lines[0] == ",".join(LEDGER_COLUMNS)
+    return lines[1:]
+
+
+def clean_sweep_rows(tmp_path, monkeypatch, cfg, eps):
+    """Each member's ledger rows from a sweep run of `cfg` into tmp_path/clean."""
+    monkeypatch.setenv("NLCHB_OUTPUT_DIR", str(tmp_path / "clean"))
+    assert main(["sweep-eps", cfg, "--eps", ",".join(map(repr, eps))]) == 0
+    monkeypatch.delenv("NLCHB_OUTPUT_DIR")
+    return {e: member_rows(tmp_path / "clean", e) for e in eps}
 
 
 def resume_refused_header(tmp_path, capsys, pattern, replacement, message):
@@ -440,36 +456,68 @@ class TestValidateAndSweeps:
         assert summary == ["eps=0.4000001", "eps=0.4", "eps=0.3"]
 
     def test_sweep_eps_diverged_reference_exits_2(self, tmp_path, monkeypatch, capsys):
-        diverge_after(monkeypatch, 2, "local")
         cfg = write_cfg(tmp_path, FAST_RUN.replace("t_end = 2e-2", "t_end = 5e-3"))
+        clean = clean_sweep_rows(tmp_path, monkeypatch, cfg, [0.4, 0.2])
+        diverge_after(monkeypatch, 2, "local")
         capsys.readouterr()
         assert main(["sweep-eps", cfg, "--eps", "0.4,0.2"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "local reference run diverged" in err[0]
         assert not (tmp_path / "out" / "sweep_eps.csv").exists()
+        # every member made the 2 steps the reference made before it blew up
+        for eps in (0.4, 0.2):
+            assert member_rows(tmp_path / "out", eps) == clean[eps][:2]
+
+    def test_sweep_eps_diverged_member_keeps_the_rows_it_made(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        cfg = write_cfg(tmp_path, FAST_RUN.replace("t_end = 2e-2", "t_end = 5e-3"))
+        clean = clean_sweep_rows(tmp_path, monkeypatch, cfg, [0.4, 0.2])
+        diverge_after(monkeypatch, 3, "nonlocal", 0.2)
+        capsys.readouterr()
+        assert main(["sweep-eps", cfg, "--eps", "0.4,0.2"]) == 0
+        assert "eps=0.2      DIVERGED (excluded from ratios)" in capsys.readouterr().out
+        assert len(clean[0.4]) == 5
+        assert member_rows(tmp_path / "out", 0.4) == clean[0.4]
+        assert member_rows(tmp_path / "out", 0.2) == clean[0.2][:3]
 
     def test_sweep_eps_ledgers_written_by_ledger_csv_writer(self, tmp_path, monkeypatch):
-        # each member's ledger.csv holds the same bytes LedgerCsvWriter writes
-        # for the member's rows: the header, then repr() of every value
+        # each member's ledger.csv holds the rows the same sweep keeps in an
+        # EnergyLedger: the header, then repr() of every value
         raw = nlchb.cli.solution_sweep
-        ledgers = {}
+        calls = []
 
         def sweep(*args, **kwargs):
-            report = raw(*args, **kwargs)
-            ledgers.update(report.ledgers)
-            return report
+            calls.append((args, kwargs))
+            return raw(*args, **kwargs)
 
         monkeypatch.setattr(nlchb.cli, "solution_sweep", sweep)
         cfg = write_cfg(tmp_path, FAST_RUN.replace("t_end = 2e-2", "t_end = 5e-3"))
         assert main(["sweep-eps", cfg, "--eps", "0.4,0.2"]) == 0
-        assert sorted(ledgers) == [0.2, 0.4]
-        for eps, ledger in ledgers.items():
+        ((args, kwargs),) = calls
+        assert [type(sink) for sink in kwargs["ledgers"]] == [LedgerCsvWriter] * 2
+        ledgers = [EnergyLedger(), EnergyLedger()]
+        raw(*args, **{**kwargs, "ledgers": ledgers})
+        for eps, ledger in zip([0.4, 0.2], ledgers):
             assert len(ledger.rows) == 5
-            expected = tmp_path / f"expected_{eps:g}.csv"
-            with LedgerCsvWriter(str(expected)) as csv:
-                for row in ledger.rows:
-                    csv.write_row(row)
             lines = [",".join(LEDGER_COLUMNS)]
             lines += [",".join(repr(row[c]) for c in LEDGER_COLUMNS) for row in ledger.rows]
             written = (tmp_path / "out" / f"eps_{eps!r}" / "ledger.csv").read_bytes()
-            assert written == expected.read_bytes() == ("\n".join(lines) + "\n").encode()
+            assert written == ("\n".join(lines) + "\n").encode()
+
+    def test_sweep_eps_memory_does_not_grow_with_t_end(self, tmp_path, capsys):
+        # each member's rows go to its ledger.csv as they are made: 50 or 300
+        # steps per run peak within 16 KB (about 23 rows) of each other
+        def peak(t_end):
+            cfg = write_cfg(tmp_path, FAST_RUN.replace("t_end = 2e-2", f"t_end = {t_end}"))
+            tracemalloc.start()
+            try:
+                assert main(["sweep-eps", cfg, "--eps", "0.4,0.2"]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                capsys.readouterr()
+
+        peak(0.05)  # warm the per-grid and FFT caches outside the measurement
+        short, long = peak(0.05), peak(0.3)
+        assert abs(long - short) < 16 * 1024

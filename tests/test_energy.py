@@ -19,7 +19,7 @@ from nlchb.energy import (
 from nlchb.grid import MacVelocity, dct2_inverse, dct2_transform, make_grid
 from nlchb.kernel import calibrate_mollifier, compute_a, convolve, sample_kernel
 from nlchb.physics import MaterialParams, PotentialParams
-from nlchb.snapshots import LedgerCsvWriter
+from nlchb.snapshots import LedgerCsvWriter, _cut_ledger
 
 from test_kernel import double_sum_energy
 
@@ -217,11 +217,33 @@ class TestBudgetResidual:
         assert energy_budget_residual(1.0, 0.9, 1.0, 0.0, 0.1) == pytest.approx(0.0)
 
 
+def csv_times(path):
+    """The t column of a ledger CSV."""
+    return [float(line.split(",", 1)[0]) for line in path.read_text().splitlines()[1:]]
+
+
 class TestLedger:
     def make_row(self, t):
         row = {c: 0.0 for c in LEDGER_COLUMNS}
         row["t"] = t
         return row
+
+    @pytest.fixture(params=["EnergyLedger", "LedgerCsvWriter"])
+    def sink(self, request, tmp_path):
+        """(ledger, written): an empty sink of either kind, and a function
+        giving the t of every row it has written so far."""
+        if request.param == "EnergyLedger":
+            led = EnergyLedger()
+            yield led, lambda: list(led.column("t"))
+        else:
+            path = tmp_path / "ledger.csv"
+            with LedgerCsvWriter(str(path)) as led:
+
+                def written():
+                    led.flush()
+                    return csv_times(path)
+
+                yield led, written
 
     def test_append_and_column(self):
         led = EnergyLedger()
@@ -229,26 +251,39 @@ class TestLedger:
         led.append(self.make_row(0.2))
         assert np.allclose(led.column("t"), [0.1, 0.2])
 
-    def test_non_increasing_time_rejected(self):
-        led = EnergyLedger()
+    def test_non_increasing_time_rejected(self, sink):
+        led, written = sink
         led.append(self.make_row(0.1))
-        with pytest.raises(ValueError):
-            led.append(self.make_row(0.1))
+        for t in (0.1, 0.05):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                led.append(self.make_row(t))
+        led.append(self.make_row(0.2))
+        assert written() == [0.1, 0.2]
 
-    def test_missing_column_rejected(self):
-        led = EnergyLedger()
+    def test_missing_column_rejected(self, sink):
+        led, written = sink
         row = self.make_row(0.0)
         del row["residual"]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="missing columns"):
             led.append(row)
+        assert written() == []
 
-    def test_csv_header(self, tmp_path):
-        led = EnergyLedger()
-        led.append(self.make_row(0.0))
+    def test_resumed_writer_accepts_the_next_row(self, tmp_path):
         path = tmp_path / "ledger.csv"
         with LedgerCsvWriter(str(path)) as csv:
-            for row in led.rows:
-                csv.write_row(row)
+            for t in (0.1, 0.2, 0.3):
+                csv.append(self.make_row(t))
+        _cut_ledger(str(path), 0.2)
+        with LedgerCsvWriter(str(path), append=True) as csv:
+            csv.append(self.make_row(0.3))
+            with pytest.raises(ValueError, match="strictly increasing"):
+                csv.append(self.make_row(0.3))
+        assert csv_times(path) == [0.1, 0.2, 0.3]
+
+    def test_csv_header(self, tmp_path):
+        path = tmp_path / "ledger.csv"
+        with LedgerCsvWriter(str(path)) as csv:
+            csv.append(self.make_row(0.0))
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0].startswith("t,E_total,E_interface")
         assert len(lines) == 2

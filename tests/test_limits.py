@@ -126,23 +126,26 @@ class TestSolutionSweep:
         grid = make_grid(32, 32, 1.0, 1.0)
         state0 = spinodal_state(grid)
         mass0 = float(state0.phi.mean())
-        report = solution_sweep(
+        ledgers = [EnergyLedger(), EnergyLedger()]
+        solution_sweep(
             grid, spinodal_potential(), spinodal_material(), state0,
-            [0.25, 0.125], gamma=0.5, t_end=0.02, sample_count=10, keep_ledgers=True,
+            [0.25, 0.125], gamma=0.5, t_end=0.02, sample_count=10, ledgers=ledgers,
         )
-        for ledger in report.ledgers.values():
+        for ledger in ledgers:
             mass = ledger.column("mass_phi") / (grid.Lx * grid.Ly)
             assert np.abs(mass - mass0).max() <= 1e-10
 
-    def test_ledgered_intervals_start_without_a_new_convolution(self, monkeypatch):
-        # a sampling interval starts from the mu and E its last state carries:
-        # one J*phi per model build (a), one per member start and one per step
+    def test_ledgered_steps_start_without_a_new_convolution(self, monkeypatch):
+        # each ledgered step of a member starts from the mu and E its last
+        # step left: one J*phi per model build (a), one per member start and
+        # one per step
         grid = make_grid(32, 32, 1.0, 1.0)
         calls = count_calls(monkeypatch, nlchb.kernel.convolve)
         eps = [0.25, 0.125]
         report = solution_sweep(
             grid, spinodal_potential(), spinodal_material(), spinodal_state(grid),
-            eps, gamma=0.5, t_end=0.02, sample_count=10, keep_ledgers=True,
+            eps, gamma=0.5, t_end=0.02, sample_count=10,
+            ledgers=[EnergyLedger() for _ in eps],
         )
         md = report.metadata
         assert (md["n_steps"], md["sample_every"]) == (30, 3)  # 10 sampling intervals
@@ -190,7 +193,7 @@ DIST_COLUMNS = (
 )
 
 
-def keep_all_samples_sweep(grid, state0, eps, t_end, sample_count, dt=None, keep_ledgers=False):
+def keep_all_samples_sweep(grid, state0, eps, t_end, sample_count, dt=None, ledgered=False):
     """Oracle: the sweep that runs each member to the end keeping every sample,
     then sums the trapezoidal distances member by member, sample by sample.
 
@@ -207,7 +210,7 @@ def keep_all_samples_sweep(grid, state0, eps, t_end, sample_count, dt=None, keep
     sample_every = max(1, n_steps // max(2, sample_count))
 
     def run(model):
-        ledger = EnergyLedger() if keep_ledgers else None
+        ledger = EnergyLedger() if ledgered else None
         samples = []
 
         def sample(state):
@@ -289,48 +292,48 @@ def diverge_after(monkeypatch, steps, mode, epsilon=None):
 
 class TestStreamedSweep:
     @pytest.mark.parametrize(
-        "dt, t_end, sample_count, keep_ledgers, sample_every, remainder",
+        "dt, t_end, sample_count, ledgered, sample_every, remainder",
         [
             (1e-3, 9e-3, 100, False, 1, 0),  # every step is a sample
             (1e-3, 23e-3, 5, False, 4, 3),  # steps after the last sample
-            (None, 0.05, 4, True, 3, 1),  # dt auto, ledgers restarted per interval
+            (None, 0.05, 4, True, 3, 1),  # dt auto, every member ledgered
         ],
     )
     def test_matches_keep_all_samples_oracle(
-        self, dt, t_end, sample_count, keep_ledgers, sample_every, remainder
+        self, dt, t_end, sample_count, ledgered, sample_every, remainder
     ):
         eps = [0.5, 0.4, 0.3]
-        report = tiny_sweep(
-            eps, dt=dt, t_end=t_end, sample_count=sample_count, keep_ledgers=keep_ledgers
-        )
+        kept = [EnergyLedger() for _ in eps] if ledgered else None
+        report = tiny_sweep(eps, dt=dt, t_end=t_end, sample_count=sample_count, ledgers=kept)
         md = report.metadata
         assert md["sample_every"] == sample_every
         assert md["n_steps"] % sample_every == remainder
         grid = sweep_grid()
         cols, ledgers = keep_all_samples_sweep(
-            grid, spinodal_state(grid), eps, t_end, sample_count, dt, keep_ledgers
+            grid, spinodal_state(grid), eps, t_end, sample_count, dt, ledgered
         )
         assert report.valid == [True] * len(eps)
         for name in DIST_COLUMNS:
             assert bits(report.columns[name]) == bits(cols[name]), name
             assert all(type(v) is float for v in report.columns[name]), name
-        if keep_ledgers:
-            kept = report.ledgers
-            assert list(kept) == eps
-            for e in eps:
-                assert len(kept[e].rows) == md["n_steps"]
-                assert kept[e].rows == ledgers[e].rows
-        else:
-            assert report.ledgers == {}
+        if ledgered:
+            for e, ledger in zip(eps, kept):
+                assert len(ledger.rows) == md["n_steps"]
+                assert ledger.rows == ledgers[e].rows
 
     def test_diverged_member_is_invalid_and_leaves_the_others(self, monkeypatch):
         eps = [0.5, 0.4, 0.3]
-        kwargs = dict(dt=1e-3, t_end=1e-2, sample_count=4, keep_ledgers=True)
-        clean = tiny_sweep(eps, **kwargs)
+        kwargs = dict(dt=1e-3, t_end=1e-2, sample_count=4)
+        clean_ledgers = [EnergyLedger() for _ in eps]
+        clean = tiny_sweep(eps, ledgers=clean_ledgers, **kwargs)
         diverge_after(monkeypatch, 3, "nonlocal", 0.4)
-        report = tiny_sweep(eps, **kwargs)
+        ledgers = [EnergyLedger() for _ in eps]
+        report = tiny_sweep(eps, ledgers=ledgers, **kwargs)
         assert report.valid == [True, False, True]
-        assert list(report.ledgers) == [0.5, 0.3]
+        # the diverged member keeps the 3 rows it made, the others all 10
+        assert [len(ledger.rows) for ledger in ledgers] == [10, 3, 10]
+        for ledger, clean_ledger in zip(ledgers, clean_ledgers):
+            assert ledger.rows == clean_ledger.rows[: len(ledger.rows)]
         for name in DIST_COLUMNS:
             col = report.columns[name]
             assert np.isnan(col[1]), name
@@ -338,8 +341,9 @@ class TestStreamedSweep:
 
     def test_kept_ledgers_stay_out_of_the_csv(self):
         kwargs = dict(dt=1e-3, t_end=1e-2, sample_count=4)
-        kept = tiny_sweep([0.5, 0.4], keep_ledgers=True, **kwargs)
-        assert [len(ledger.rows) for ledger in kept.ledgers.values()] == [10, 10]
+        ledgers = [EnergyLedger(), EnergyLedger()]
+        kept = tiny_sweep([0.5, 0.4], ledgers=ledgers, **kwargs)
+        assert [len(ledger.rows) for ledger in ledgers] == [10, 10]
         assert kept.csv_lines() == tiny_sweep([0.5, 0.4], **kwargs).csv_lines()
 
     def test_start_state_from_another_model_changes_no_bit(self):
@@ -364,14 +368,15 @@ class TestStreamedSweep:
     def test_header_mass_is_the_ledger_integral(self):
         # on a 2 x 1 domain the integral of phi is twice its mean
         cfg = parse_config("[grid]\nnx = 16\nny = 16\nlx = 2.0\n[initial]\nphi_mean = 0.1\n")
+        ledgers = [EnergyLedger(), EnergyLedger()]
         report = solution_sweep(
             cfg.grid, cfg.potential, cfg.material, cfg.initial_state(), [0.5, 0.4],
-            dt=1e-3, t_end=3e-3, sample_count=2, keep_ledgers=True,
+            dt=1e-3, t_end=3e-3, sample_count=2, ledgers=ledgers,
         )
         (header,) = [line for line in report.csv_lines() if line.startswith("# mass_phi0 = ")]
         mass0 = float(header.split(" = ")[1])
         assert mass0 == pytest.approx(0.2, abs=1e-12)
-        for ledger in report.ledgers.values():
+        for ledger in ledgers:
             assert abs(ledger.rows[0]["mass_phi"] - mass0) <= 1e-12
 
     def test_diverged_reference_aborts(self, monkeypatch):
