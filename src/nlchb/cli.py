@@ -4,8 +4,9 @@ Environment override: NLCHB_OUTPUT_DIR replaces the configured output
 directory.
 
 Exit codes: 0 success, 1 usage/config/check failure, 2 a solver blow-up or an
-invariant violation (both with a diagnostic snapshot and flushed ledger on
-disk), or a diverged sweep-eps reference run.
+invariant violation (both with a diagnostic snapshot on disk), or a diverged
+sweep-eps reference run. Every ledger row is handed to the operating system
+as it is written.
 """
 
 from __future__ import annotations
@@ -72,7 +73,6 @@ def _run_loop(
 
     def on_step(state: SimState) -> None:
         if state.step % config.cadence == 0:
-            csv.flush()  # every row up to a snapshot is on disk before it
             _emit_outputs(config, outdir, state, dt)
 
     with csv:

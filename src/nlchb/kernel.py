@@ -189,8 +189,9 @@ def _calibrated(gamma: float, shape_id: str) -> Mollifier:
     return Mollifier(gamma=gamma, shape_id=shape_id, c_eta=float(c_eta))
 
 
-# 4x4 tensor Gauss-Legendre rule used by the adaptive cell averaging.
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(4)
+# 4x4 tensor Gauss-Legendre rule of the cell averaging: numpy's leggauss(4) bits, fixed
+_GL_X = np.array([-0.8611363115940526, -0.33998104358485626, 0.33998104358485626, 0.8611363115940526])
+_GL_W = np.array([0.34785484513745357, 0.6521451548625464, 0.6521451548625464, 0.34785484513745357])
 _GL_W2 = (_GL_W[:, None] * _GL_W[None, :]) / 4.0
 # deepest quadtree level that may still be split
 CELL_AVG_MAX_DEPTH = 30
@@ -439,7 +440,7 @@ def kernel_norms(kernel: KernelGrid) -> dict[str, float]:
     dj = functools.partial(kernel.mollifier.kernel_radial_derivative, eps=kernel.epsilon)
     grad_inner, _ = quad(lambda r: 2.0 * np.pi * r * abs(float(dj(r))), 0.0, r0, limit=200)
 
-    K = np.fft.fftshift(kernel.values)
+    K = np.roll(kernel.values, (g.nx, g.ny), axis=(0, 1))  # fftshift
     zx = (np.arange(2 * g.nx) - g.nx)[:, None] * g.dx
     zy = (np.arange(2 * g.ny) - g.ny)[None, :] * g.dy
     outer = np.hypot(zx, zy) > r0

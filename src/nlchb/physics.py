@@ -56,12 +56,13 @@ class PotentialParams:
         if self.eta_f < 0.0:
             raise ValueError("eta_f must be nonnegative")
         object.__setattr__(self, "degree", deg)
-        # coefficients of F, F' and F'' up to the leading one, built once (not
-        # fields: equality and hash keep to coeffs)
+        # coefficients of F, F' and F'' up to the leading one, built once with
+        # polyder's j * c[j] (not fields: equality and hash keep to coeffs)
         lead = np.array(c[: deg + 1])
         object.__setattr__(self, "_f_coeffs", lead)
-        object.__setattr__(self, "_df_coeffs", np.polynomial.polynomial.polyder(lead))
-        object.__setattr__(self, "_ddf_coeffs", np.polynomial.polynomial.polyder(lead, 2))
+        df = lead[1:] * np.arange(1, len(lead))
+        object.__setattr__(self, "_df_coeffs", df)
+        object.__setattr__(self, "_ddf_coeffs", df[1:] * np.arange(1, len(df)))
 
     def f(self, s):
         return _horner(self._f_coeffs, s)
@@ -77,7 +78,7 @@ def _horner(coeffs: np.ndarray, s):
     """sum_k coeffs[k] s^k by Horner's rule, updating one array in place.
 
     The last coefficient is nonzero, so for finite s this has the bits of
-    `np.polynomial.polynomial.polyval`, which first adds s*0 to it and
+    numpy's `polynomial.polyval`, which first adds s*0 to it and
     allocates a new array in every pass; zero coefficients above the degree
     change no bit there either.
     """

@@ -185,22 +185,20 @@ def write_ppm(path: str, values: np.ndarray) -> None:
 
 
 class LedgerCsvWriter(EnergyLedger):
-    """An `EnergyLedger` that writes each checked row to the ledger CSV as the
-    step makes it, and keeps none; the header is written when the file it
-    opens is empty. A writer opened with `append` starts with no last t."""
+    """An `EnergyLedger` that writes each checked row to the line-buffered
+    ledger CSV as the step makes it, so the row reaches the operating system
+    at once, and keeps none; the header is written when the file it opens is
+    empty. A writer opened with `append` starts with no last t."""
 
     def __init__(self, path: str, append: bool = False):
         super().__init__()
         self.path = path
-        self._fh = open(path, "a" if append else "w", encoding="utf-8")
+        self._fh = open(path, "a" if append else "w", buffering=1, encoding="utf-8")
         if self._fh.tell() == 0:
             self._fh.write(",".join(LEDGER_COLUMNS) + "\n")
 
     def write_row(self, row: dict) -> None:
         self._fh.write(",".join(repr(float(row[c])) for c in LEDGER_COLUMNS) + "\n")
-
-    def flush(self) -> None:
-        self._fh.flush()
 
     def close(self) -> None:
         self._fh.close()

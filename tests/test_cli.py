@@ -76,6 +76,26 @@ nlchb.solver.advance = advance
 main(["run", sys.argv[1]])
 """
 
+# `python -c KILLED_AT_CALL COMMAND CONFIG N` runs `nlchb COMMAND CONFIG`
+# (sweep-eps over eps 0.4 and 0.2) and, as the N-th call of `advance` begins,
+# ends the process at once, with no buffer flushed and no cleanup.
+KILLED_AT_CALL = """
+import os, sys
+import nlchb.limits, nlchb.solver
+from nlchb.cli import main
+
+raw, calls = nlchb.solver.advance, [0]
+
+def advance(*args, **kwargs):
+    calls[0] += 1
+    if calls[0] == int(sys.argv[3]):
+        os._exit(3)
+    return raw(*args, **kwargs)
+
+nlchb.solver.advance = nlchb.limits.advance = advance
+main(sys.argv[1:3] + (["--eps", "0.4,0.2"] if sys.argv[1] == "sweep-eps" else []))
+"""
+
 ORACLE_CFG = """
 [grid]
 nx = 16
@@ -325,6 +345,36 @@ class TestResume:
         assert not (out / "checkpoint.bin").exists()
         assert main(["resume", str(out / f"snapshot_{kill_at // 50 * 50:08d}.bin")]) == 0
         assert (out / "ledger.csv").read_bytes() == uninterrupted
+
+    @pytest.mark.parametrize(
+        "command, rows",
+        [
+            ("run", {"": 137}),
+            # a sweep step advances the reference, then eps 0.4, then eps 0.2
+            ("sweep-eps", {"eps_0.4": 46, "eps_0.2": 45}),
+        ],
+    )
+    def test_killed_command_leaves_every_finished_ledger_row(
+        self, tmp_path, monkeypatch, capsys, command, rows
+    ):
+        # each row reaches the operating system as it is written: a kill
+        # between snapshots, or anywhere in a sweep, loses no finished row
+        cfg = write_cfg(tmp_path, KILL_RUN.replace("t_end = 0.05", "t_end = 0.02"))
+        extra = ["--eps", "0.4,0.2"] if command == "sweep-eps" else []
+        monkeypatch.setenv("NLCHB_OUTPUT_DIR", str(tmp_path / "clean"))
+        assert main([command, cfg, *extra]) == 0
+        capsys.readouterr()
+        src = os.path.dirname(os.path.dirname(nlchb.cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src, NLCHB_OUTPUT_DIR=str(tmp_path / "killed"))
+        killed = subprocess.run(
+            [sys.executable, "-c", KILLED_AT_CALL, command, cfg, "138"],
+            env=env, capture_output=True, text=True,
+        )
+        assert killed.returncode == 3, killed.stderr
+        for name, n in rows.items():
+            clean = (tmp_path / "clean" / name / "ledger.csv").read_bytes().splitlines(True)
+            assert len(clean) == 201
+            assert (tmp_path / "killed" / name / "ledger.csv").read_bytes() == b"".join(clean[: n + 1])
 
     def test_resume_from_malformed_snapshot_exits_1(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, FAST_RUN)

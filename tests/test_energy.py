@@ -239,11 +239,7 @@ class TestLedger:
             path = tmp_path / "ledger.csv"
             with LedgerCsvWriter(str(path)) as led:
 
-                def written():
-                    led.flush()
-                    return csv_times(path)
-
-                yield led, written
+                yield led, lambda: csv_times(path)
 
     def test_append_and_column(self):
         led = EnergyLedger()

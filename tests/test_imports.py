@@ -4,9 +4,11 @@ a class, is left without a reader.
 
 No linter runs on this code, so these AST scans are the check. The package
 `__init__.py` is left out: its imports are the public re-exports. The last
-tests import `nlchb.cli` in a child process and check which scipy and numpy
-subpackages it loads: nlchb loads scipy's compiled pocketfft by file, never
-the `scipy.fft` package, and calls it as scipy's wrappers do.
+tests import `nlchb.cli`, and run its commands, in a child process and check
+which scipy and numpy subpackages they load: nlchb loads scipy's compiled
+pocketfft by file, never the `scipy.fft` package, and calls it as scipy's
+wrappers do; its Gauss table and polynomial derivatives are plain arrays, so
+no command loads `numpy.polynomial` or `numpy.fft`.
 """
 
 import ast
@@ -168,3 +170,31 @@ def test_cli_import_loads_no_scipy_fft_package():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_numpy_polynomial():
+    # leggauss and polyder came from numpy.polynomial, about 0.6 MiB, and
+    # leggauss started LAPACK, about 0.9 MiB more
+    code = "import sys, nlchb.cli; print('numpy.polynomial' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_validate_and_run_load_no_numpy_polynomial_or_fft(tmp_path):
+    # kernel_norms shifts the kernel lattice with np.roll, not numpy.fft's fftshift
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "[grid]\nnx = 16\nny = 16\n[kernel]\nepsilon = 0.3\n[solver]\ndt = 1e-4\n"
+        f"t_end = 1e-3\ncadence = 5\n[output]\ndirectory = {tmp_path / 'out'}\n"
+    )
+    heavy = ["numpy.polynomial", "numpy.fft"]
+    code = (
+        "import sys, contextlib, io; from nlchb.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(['validate', {str(cfg)!r}]), main(['run', {str(cfg)!r}])]\n"
+        f"print(codes, [m for m in {heavy!r} if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[0, 0] []"

@@ -6,6 +6,9 @@ scipy adaptive quadrature for all continuum integrals,
 and frozen copies of the masked kernel formulas (bit-for-bit references).
 """
 
+import decimal
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +24,8 @@ from nlchb.kernel import (
     GRADIENT_LIMIT_SCALE,
     PROFILES,
     RESOLVED_CELLS,
+    _GL_W,
+    _GL_X,
     KernelGrid,
     KernelResolutionWarning,
     _calibrated,
@@ -386,6 +391,27 @@ class TestFrozenFormulas:
         got, ref = kernel_norms(k), frozen_kernel_norms(k)
         assert got["l1"].hex() == ref["l1"].hex()
         assert got["grad_l1"].hex() == ref["grad_l1"].hex()
+
+
+class TestGaussTable:
+    """The 4-point Gauss-Legendre table of the cell averaging is fixed in the
+    source, so no command has to start LAPACK (which `leggauss` calls)."""
+
+    def test_bitwise_equal_to_leggauss(self):
+        x, w = np.polynomial.legendre.leggauss(4)
+        assert _GL_X.tobytes() == x.tobytes()
+        assert _GL_W.tobytes() == w.tobytes()
+
+    def test_nodes_are_the_rounded_closed_form(self):
+        # +-sqrt((3 -+ 2 sqrt(6/5)) / 7), from 40 digits to the nearest double
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            root = (decimal.Decimal(6) / 5).sqrt()
+            inner, outer = (((3 + sign * 2 * root) / 7).sqrt() for sign in (-1, 1))
+        assert list(_GL_X) == [float(-outer), float(-inner), float(inner), float(outer)]
+
+    def test_weights_sum_to_two(self):
+        assert math.fsum(_GL_W) == 2.0
 
 
 class TestSampleKernel:

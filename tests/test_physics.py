@@ -44,7 +44,9 @@ class TestPotential:
         assert np.abs(pot.df(s) - fd1).max() <= 1e-6
         assert np.abs(pot.ddf(s) - fd2).max() <= 1e-5
 
-    @pytest.mark.parametrize("coeffs", [None, (0.1, -0.3, -0.5, 0.2, 0.4, 0.0, 0.05)])
+    @pytest.mark.parametrize(
+        "coeffs", [None, (1.0, 0.0, 2.0), (0.1, -0.3, -0.5, 0.2, 0.4, 0.0, 0.05)]
+    )
     def test_derivatives_match_polyder_bitwise(self, coeffs):
         # F' and F'' are built once per potential, with the bits of polyder per call
         pot = PotentialParams() if coeffs is None else PotentialParams(coeffs=coeffs)
