@@ -18,6 +18,11 @@ round to round. Round i takes the i-th of perfbench/reference.json's seeds
 for W from K up, and starts again at K when they run out, so that every run
 is checked against its reference end state.
 
+After the rounds, each of the parent and change exports runs
+`perfbench/run.py --workload W --seed s --seconds 0 --trace 1` once, with the
+first round's seed: its traced jobs give the call counts and per-layer medians
+that the untraced rounds do not record.
+
 Writes BENCH_<T>_ab_<W>.json at the repository root (T defaults to the
 change's short commit hash). Per gated metric of BENCHMARK.json it holds each
 side's median and quartiles, the parent's IQR, `change_relative` (the change
@@ -27,6 +32,8 @@ lower); the same for the control; and `gain_met`: the change read lower in
 at least 9 of every 10 of at least 10 pairs, and its median lies below the
 parent's by more than the parent's IQR. Every run stays in the file; one
 that failed has `correct: false`, and `failed_runs` counts them per side.
+`traced` holds, per side, the traced run's `seed`, `correct`, `counts` and
+`per_layer` (empty when its result file is missing).
 """
 
 from __future__ import annotations
@@ -75,10 +82,10 @@ def seeds(workload: str, first: int, pairs: int) -> list[int]:
     return [known[i % len(known)] for i in range(pairs)]
 
 
-def run_side(tree: str, workload: str, seed: int, seconds: float) -> dict:
+def run_side(tree: str, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """One perfbench run in `tree`: its JSON line, or a failed record."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", repr(seconds), "--trace", "0"]
+           "--seconds", repr(seconds), "--trace", str(trace)]
     try:
         out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     except subprocess.TimeoutExpired:
@@ -92,6 +99,23 @@ def run_side(tree: str, workload: str, seed: int, seconds: float) -> dict:
         result["correct"] = False
         result["error"] = f"exit {out.returncode}: {out.stderr.strip()[-400:]}"
     return result
+
+
+def run_traced(tree: str, workload: str, seed: int) -> dict:
+    """One traced perfbench run in `tree` with no time budget: its call counts
+    and per-layer medians, read from the result file the run writes."""
+    result = run_side(tree, workload, seed, 0.0, trace=1)
+    path = os.path.join(tree, ".perfbench_work", workload, "result.json")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            full = json.load(fh)
+    except (OSError, ValueError):
+        full = {}
+    traced = {"seed": seed, "correct": result["correct"], "counts": full.get("counts", {}),
+              "per_layer": full.get("per_layer", {})}
+    if "error" in result:
+        traced["error"] = result["error"]
+    return traced
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -176,6 +200,8 @@ def main(argv: list[str] | None = None) -> int:
                 shown = {k: round(v["value"], 6) for k, v in result["metrics"].items()}
                 print(f"round {i} seed {seed} {side}: correct {result['correct']} {shown}",
                       flush=True)
+        traced = {side: run_traced(trees[side], args.workload, round_seeds[0])
+                  for side in ("parent", "change")}
         hashes = {side: src_sha256(trees[side]) for side in ("parent", "change")}
 
     record = {
@@ -194,6 +220,7 @@ def main(argv: list[str] | None = None) -> int:
         "failed_runs": {side: sum(not r["correct"] for r in rs) for side, rs in runs.items()},
         "summary": summarize(runs, metrics),
         "runs": runs,
+        "traced": traced,
     }
     tag = args.tag or change[:10]
     path = os.path.join(ROOT, f"BENCH_{tag}_ab_{args.workload}.json")
@@ -205,6 +232,8 @@ def main(argv: list[str] | None = None) -> int:
               f"change {row.get('change_median', float('nan')):.6g}  "
               f"lower in {row.get('change_lower_in', 0)}/{row.get('change_pairs', 0)}  "
               f"gain_met {row['gain_met']}")
+    for side, run in traced.items():
+        print(f"traced {side}: correct {run['correct']} counts {run['counts']}")
     print(f"wrote {path}")
     return 0
 

@@ -63,12 +63,17 @@ def _emit_outputs(config: RunConfig, outdir: str, state: SimState, dt: float) ->
 def _run_loop(
     config: RunConfig,
     model: Model,
-    state: SimState,
+    start: list[SimState],
     forcing: Forcing,
     dt: float,
     outdir: str,
     append_csv: bool,
 ) -> int:
+    """Integrate the one state in `start` to t_end, writing the outputs.
+
+    The state is popped from the list straight into `integrate`, so no frame
+    here or in the caller keeps it: its fields are freed after the first step.
+    """
     csv = LedgerCsvWriter(os.path.join(outdir, "ledger.csv"), append=append_csv)
 
     def on_step(state: SimState) -> None:
@@ -79,7 +84,7 @@ def _run_loop(
         try:
             state = integrate(
                 model,
-                state,
+                start.pop(),
                 dt,
                 config.t_end,
                 forcing,
@@ -110,7 +115,9 @@ def cmd_run(config_path: str) -> int:
         dt = suggest_dt(model, state, config.safety)
         print(f"auto dt = {dt:.6g}")
     _emit_outputs(config, outdir, state, dt)
-    return _run_loop(config, model, state, config.forcing(), dt, outdir, append_csv=False)
+    start = [state]
+    del state
+    return _run_loop(config, model, start, config.forcing(), dt, outdir, append_csv=False)
 
 
 def cmd_resume(checkpoint_path: str) -> int:
@@ -134,7 +141,9 @@ def cmd_resume(checkpoint_path: str) -> int:
     if os.path.exists(csv_path):
         # a mid-run snapshot is older than the ledger's last rows
         _cut_ledger(csv_path, state.t)
-    return _run_loop(config, model, state, config.forcing(), dt, outdir, append_csv=True)
+    start = [state]
+    del state
+    return _run_loop(config, model, start, config.forcing(), dt, outdir, append_csv=True)
 
 
 def cmd_validate(config_path: str) -> int:

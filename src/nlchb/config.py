@@ -301,7 +301,9 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     if s["cadence"] < 1:
         errors.append(f"[solver] cadence: must be >= 1, got {s['cadence']}")
     if s["stabilization"] is not None and s["stabilization"] < 0.0:
-        errors.append(f"[solver] stabilization: must be nonnegative or 'auto'")
+        errors.append(
+            f"[solver] stabilization: must be nonnegative or 'auto', got {s['stabilization']}"
+        )
     if parsed["run"]["seed"] < 0:
         errors.append(f"[run] seed: must be nonnegative, got {parsed['run']['seed']}")
 

@@ -162,6 +162,7 @@ def mac_deformation(grid: Grid, vel: MacVelocity) -> tuple[np.ndarray, np.ndarra
     pad[:, 0] = -vel.u[:, 0]
     pad[:, -1] = -vel.u[:, -1]
     dxy = face_difference(pad, 1, grid.dy)
+    del pad
 
     pad = np.empty((grid.nx + 2, grid.ny + 1))
     pad[1:-1, :] = vel.v
@@ -193,7 +194,11 @@ def _nu_at_corners(grid: Grid, nu_centers: np.ndarray) -> np.ndarray:
     pad[-1, 1:-1] = nu_centers[-1]
     pad[:, 0] = pad[:, 1]
     pad[:, -1] = pad[:, -2]
-    return 0.25 * (pad[:-1, :-1] + pad[1:, :-1] + pad[:-1, 1:] + pad[1:, 1:])
+    out = np.add(pad[:-1, :-1], pad[1:, :-1])
+    out += pad[:-1, 1:]
+    out += pad[1:, 1:]
+    out *= 0.25
+    return out
 
 
 def _viscous_parts(
@@ -214,6 +219,15 @@ def _viscous_parts(
     return nu, _nu_at_corners(grid, nu), mac_deformation(grid, vel)
 
 
+def _grad_sq(grid: Grid, values: np.ndarray) -> float:
+    """int |grad values|^2 of `gradient_cc`, squared and summed in its arrays."""
+    gx, gy = gradient_cc(grid, values)
+    gx *= gx
+    gy *= gy
+    gx += gy
+    return float(np.sum(gx) * grid.cell_area)
+
+
 def dissipation(
     grid: Grid,
     mu: np.ndarray,
@@ -225,14 +239,22 @@ def dissipation(
 
     |sqrt(nu) D u|^2 = int nu(phi) (Dxx^2 + Dyy^2 + 2 Dxy^2) on the staggered
     grid; `viscous` is `_viscous_parts` of the state's (phi, vel).
+
+    Squares and sums are formed in place, in the gradients this function
+    computes and in one scratch array per deformation term; the parts in
+    `viscous` are only read, since the step from the state reads them again.
     """
-    gmx, gmy = gradient_cc(grid, mu)
-    grad_mu_sq = float(np.sum(gmx**2 + gmy**2) * grid.cell_area)
-    gtx, gty = gradient_cc(grid, theta)
-    grad_th_sq = float(np.sum(gtx**2 + gty**2) * grid.cell_area)
+    grad_mu_sq = _grad_sq(grid, mu)
+    grad_th_sq = _grad_sq(grid, theta)
     nu, nu_c, (dxx, dyy, dxy) = viscous
-    diag = float(np.sum(nu * (dxx**2 + dyy**2)) * grid.cell_area)
-    off = float(np.sum(_corner_weights(grid) * nu_c * 2.0 * dxy**2))
+    sq = np.square(dxx)
+    sq += np.square(dyy)
+    sq *= nu
+    diag = float(np.sum(sq) * grid.cell_area)
+    sq = _corner_weights(grid) * nu_c
+    sq *= 2.0
+    sq *= np.square(dxy)
+    off = float(np.sum(sq))
     return (
         grad_mu_sq / material.l_c
         + 2.0 * (diag + off) / (material.K_cap * material.l_c)

@@ -378,6 +378,12 @@ def convolve(kernel: KernelGrid, values: np.ndarray) -> np.ndarray:
     c2r pass runs only on those. Both inverse passes are unnormalised and the
     1/(4 nx ny) of `irfft2` is applied once, at the end, as `irfft2` applies
     it; scaling each pass on its own changes the rounding.
+
+    Two buffers carry every pass: the (nx, 2ny) zero-padded field, into which
+    the c2r pass writes back, and the (2nx, ny + 1) spectrum, which the r2c
+    pass fills in its first nx rows and the c2c passes transform in place.
+    The spectrum is freed before the result, the scaled first ny columns of
+    the padded field, is made, so a call holds at most the two buffers.
     """
     _check_same_grid(kernel, values)
     g = kernel.grid
@@ -385,12 +391,15 @@ def convolve(kernel: KernelGrid, values: np.ndarray) -> np.ndarray:
     pad = np.zeros((nx, 2 * ny))
     pad[:, :ny] = values
     spec = np.zeros((2 * nx, ny + 1), complex)
-    spec[:nx] = _pfft.r2c(pad, (1,), True, 0, None, 1)
+    _pfft.r2c(pad, (1,), True, 0, spec[:nx], 1)
     _pfft.c2c(spec, (0,), True, 0, spec, 1)
     spec *= kernel.spectrum()
     _pfft.c2c(spec, (0,), False, 0, spec, 1)
-    out = _pfft.c2r(spec[:nx], (1,), 2 * ny, False, 0, None, 1)[:, :ny]
-    return out * (1.0 / (4 * nx * ny)) * g.cell_area
+    _pfft.c2r(spec[:nx], (1,), 2 * ny, False, 0, pad, 1)
+    del spec
+    out = pad[:, :ny] * (1.0 / (4 * nx * ny))
+    out *= g.cell_area
+    return out
 
 
 def convolve_direct(kernel: KernelGrid, values: np.ndarray) -> np.ndarray:

@@ -79,3 +79,38 @@ def test_failed_runs_leave_their_pairs_out(ab):
 def test_seeds_cycle_over_the_reference_seeds(ab):
     assert ab.seeds("spinodal-64", 8, 10) == [8, 9, 10, 11, 12, 13, 14, 15, 8, 9]
     assert ab.seeds("spinodal-64", 14, 3) == [14, 15, 14]
+
+
+# A stand-in for perfbench/run.py: it checks that it was asked for one traced
+# run with no time budget, writes the canned result file and prints its line.
+FAKE_RUN = """
+import json, os, sys
+args = sys.argv[1:]
+assert args[args.index("--trace") + 1] == "1" and float(args[args.index("--seconds") + 1]) == 0
+workload = args[args.index("--workload") + 1]
+work = os.path.join(".perfbench_work", workload)
+os.makedirs(work)
+with open(os.path.join(work, "result.json"), "w") as fh:
+    json.dump({"counts": {"kernel.convolve": 150, "fft.rfft2": 0},
+               "per_layer": {"kernel.convolve.ms": 5.25, "energy.dissipation.ms": 1.5}}, fh)
+print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": {}}))
+"""
+
+
+def fake_tree(tmp_path, script):
+    os.makedirs(tmp_path / "perfbench")
+    (tmp_path / "perfbench" / "run.py").write_text(script)
+    return str(tmp_path)
+
+
+def test_traced_run_keeps_counts_and_per_layer_medians(ab, tmp_path):
+    traced = ab.run_traced(fake_tree(tmp_path, FAKE_RUN), "convection-256", 3)
+    assert traced == {"seed": 3, "correct": True,
+                      "counts": {"kernel.convolve": 150, "fft.rfft2": 0},
+                      "per_layer": {"kernel.convolve.ms": 5.25, "energy.dissipation.ms": 1.5}}
+
+
+def test_failed_traced_run_is_kept_with_empty_tables(ab, tmp_path):
+    traced = ab.run_traced(fake_tree(tmp_path, "import sys\nsys.exit(4)\n"), "spinodal-64", 0)
+    assert traced["correct"] is False and traced["error"].startswith("exit 4")
+    assert (traced["counts"], traced["per_layer"]) == ({}, {})

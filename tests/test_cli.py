@@ -7,12 +7,15 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 import nlchb.cli
+import nlchb.solver
 from nlchb.cli import main
+from nlchb.config import RunConfig
 from nlchb.energy import LEDGER_COLUMNS, EnergyLedger
 from nlchb.grid import make_grid
 from nlchb.snapshots import LedgerCsvWriter, read_snapshot, write_snapshot
@@ -415,6 +418,43 @@ class TestResume:
         cfg = write_cfg(tmp_path, FAST_RUN)
         assert main(["run", cfg]) == 0
         assert main(["resume", str(tmp_path / "out" / "checkpoint.bin")]) == 0
+
+
+class TestStartStateReleased:
+    @pytest.mark.parametrize("command", ["run", "resume"])
+    def test_start_phi_is_freed_by_the_second_step(self, tmp_path, monkeypatch, command):
+        # the command hands its start state to the loop and keeps no name for
+        # it, so once the first step is made nothing holds the start fields
+        cfg = write_cfg(tmp_path, FAST_RUN)
+        if command == "run":
+            target, first_step = cfg, 0
+        else:
+            assert main(["run", cfg]) == 0
+            target, first_step = str(tmp_path / "out" / "snapshot_00000010.bin"), 10
+        start_phi = []
+
+        def recording(load):
+            def wrapped(*args, **kwargs):
+                result = load(*args, **kwargs)
+                state = result[0] if command == "resume" else result
+                start_phi.append(weakref.ref(state.phi))
+                return result
+            return wrapped
+
+        if command == "run":
+            monkeypatch.setattr(RunConfig, "initial_state", recording(RunConfig.initial_state))
+        else:
+            monkeypatch.setattr(nlchb.cli, "read_snapshot", recording(nlchb.cli.read_snapshot))
+        raw, alive_at_step_2 = nlchb.solver.advance, []
+
+        def advance(model, state, *args):
+            if state.step == first_step + 1:
+                alive_at_step_2.append(start_phi[0]() is not None)
+            return raw(model, state, *args)
+
+        monkeypatch.setattr(nlchb.solver, "advance", advance)
+        assert main([command, target]) == 0
+        assert len(start_phi) == 1 and alive_at_step_2 == [False]
 
 
 class TestOracle:

@@ -108,7 +108,7 @@ class TestErrors:
             ("[solver]\nsafety = 1.5\n", ["[solver] safety: must lie in (0, 1], got 1.5"]),
             ("[solver]\ncadence = 0\n", ["[solver] cadence: must be >= 1, got 0"]),
             ("[solver]\nstabilization = -1\n",
-             ["[solver] stabilization: must be nonnegative or 'auto'"]),
+             ["[solver] stabilization: must be nonnegative or 'auto', got -1.0"]),
             ("[initial]\ntheta_preset = file\n",
              ["[initial] theta_file: required when theta_preset = file"]),
             ("[forcing]\nq_preset = file\n", ["[forcing] q_file: required when q_preset = file"]),
