@@ -30,7 +30,11 @@ median over the parent median, minus 1), and `change_lower_in` of
 `change_pairs` (the rounds in which both sides ran and the change read
 lower); the same for the control; and `gain_met`: the change read lower in
 at least 9 of every 10 of at least 10 pairs, and its median lies below the
-parent's by more than the parent's IQR. Every run stays in the file; one
+parent's by more than the parent's IQR. `verdict` applies the metric's
+`bound` and `better` from BENCHMARK.json: `worse` when the change median is
+worse than the parent's by more than bound x parent median; else
+`unresolved` when the parent's IQR is wider than that, unless every change
+run beat every parent run; else `within_bound`. Every run stays in the file; one
 that failed has `correct: false`, and `failed_runs` counts them per side.
 `traced` holds, per side, the traced run's `seed`, `correct`, `counts` and
 `per_layer` (empty when its result file is missing).
@@ -125,10 +129,24 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(runs: dict[str, list[dict]], metrics: list[str]) -> dict:
-    """Per metric: medians, quartiles and pair counts of each side against the
-    parent, from the runs of each side in round order (a run's `pair` is its
-    round). Failed runs, and runs without the metric, are left out."""
+def verdict(row: dict, parent: list[float], change: list[float], bound: float, better: str) -> str:
+    """`worse`, `unresolved` or `within_bound` for one metric's summary row and
+    the values of the parent's and the change's runs (see the module doc)."""
+    sign = 1.0 if better == "lower" else -1.0  # sign * value: lower is better
+    allowed = bound * abs(row["parent_median"])
+    if sign * (row["change_median"] - row["parent_median"]) > allowed:
+        return "worse"
+    beats_every_run = max(sign * v for v in change) < min(sign * v for v in parent)
+    if row["parent_iqr"] > allowed and not beats_every_run:
+        return "unresolved"
+    return "within_bound"
+
+
+def summarize(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
+    """Per metric of BENCHMARK.json's `end_to_end` (name, better, bound):
+    medians, quartiles and pair counts of each side against the parent, from
+    the runs of each side in round order (a run's `pair` is its round), and
+    the verdict. Failed runs, and runs without the metric, are left out."""
 
     def value(run: dict, name: str) -> float | None:
         if not run.get("correct") or name not in run.get("metrics", {}):
@@ -136,14 +154,15 @@ def summarize(runs: dict[str, list[dict]], metrics: list[str]) -> dict:
         return run["metrics"][name]["value"]
 
     summary = {}
-    for name in metrics:
+    for metric in metrics:
+        name = metric["name"]
         by_pair = {side: {r["pair"]: value(r, name) for r in rs} for side, rs in runs.items()}
+        vals = {side: [v for v in by_pair[side].values() if v is not None] for side in runs}
         row = {}
         for side in runs:
-            vals = [v for v in by_pair[side].values() if v is not None]
-            if not vals:
+            if not vals[side]:
                 continue
-            q1, median, q3 = quartiles(vals)
+            q1, median, q3 = quartiles(vals[side])
             row.update({f"{side}_median": median, f"{side}_q1": q1, f"{side}_q3": q3})
             if side == "parent":
                 row["parent_iqr"] = q3 - q1
@@ -159,6 +178,9 @@ def summarize(runs: dict[str, list[dict]], metrics: list[str]) -> dict:
             pairs >= 10 and lower >= 0.9 * pairs
             and row["parent_median"] - row["change_median"] > row["parent_iqr"]
         )
+        if "change_relative" in row:
+            row["verdict"] = verdict(row, vals["parent"], vals["change"], metric["bound"],
+                                     metric["better"])
         summary[name] = row
     return summary
 
@@ -176,7 +198,6 @@ def main(argv: list[str] | None = None) -> int:
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         benchmark = json.load(fh)
-    metrics = [m["name"] for m in benchmark["end_to_end"]]
     if args.seconds is None:
         args.seconds = float(benchmark["run_seconds"])
     base = git("rev-parse", "--verify", args.base + "^{commit}")
@@ -218,7 +239,7 @@ def main(argv: list[str] | None = None) -> int:
         "parent_src_sha256": hashes["parent"],
         "change_src_sha256": hashes["change"],
         "failed_runs": {side: sum(not r["correct"] for r in rs) for side, rs in runs.items()},
-        "summary": summarize(runs, metrics),
+        "summary": summarize(runs, benchmark["end_to_end"]),
         "runs": runs,
         "traced": traced,
     }
@@ -231,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{name:<12} parent {row.get('parent_median', float('nan')):.6g}  "
               f"change {row.get('change_median', float('nan')):.6g}  "
               f"lower in {row.get('change_lower_in', 0)}/{row.get('change_pairs', 0)}  "
-              f"gain_met {row['gain_met']}")
+              f"gain_met {row['gain_met']}  verdict {row.get('verdict', 'none')}")
     for side, run in traced.items():
         print(f"traced {side}: correct {run['correct']} counts {run['counts']}")
     print(f"wrote {path}")

@@ -2,9 +2,11 @@
 
 Scalar fields live at cell centers as (nx, ny) float64 arrays indexed [i, j]
 with x first. Velocity components live on cell faces (MAC arrangement, see
-`MacVelocity`). All spectral operations use the even-symmetric cosine basis,
-whose modes are the exact eigenvectors of the 3-point Laplacian with
-homogeneous Neumann boundary conditions realised by even ghost reflection.
+`MacVelocity`). Scalar solves use the even-symmetric cosine basis, whose modes
+are the exact eigenvectors of the 3-point Laplacian with homogeneous Neumann
+boundary conditions realised by even ghost reflection; the no-slip velocity
+solves use the sine bases of the interior faces. One 1-D formula,
+`_eigenvalues_1d`, gives every table these solves divide by.
 """
 
 from __future__ import annotations
@@ -54,6 +56,12 @@ def _load_pocketfft():
 
 
 _pfft = _load_pocketfft()
+
+
+def _eigenvalues_1d(k: np.ndarray, n: int, d: float) -> np.ndarray:
+    """Eigenvalues of the 1-D 3-point -Delta on n cells of width d: cosine modes k from 0,
+    sine modes from 1."""
+    return (2.0 / d**2) * (1.0 - np.cos(np.pi * k / n))
 
 
 @dataclass(frozen=True)
@@ -106,10 +114,8 @@ class Grid:
         """
         lam = self.__dict__.get("_laplacian_eigenvalues")
         if lam is None:
-            k = np.arange(self.nx)
-            l = np.arange(self.ny)
-            lx = (2.0 / self.dx**2) * (1.0 - np.cos(np.pi * k / self.nx))
-            ly = (2.0 / self.dy**2) * (1.0 - np.cos(np.pi * l / self.ny))
+            lx = _eigenvalues_1d(np.arange(self.nx), self.nx, self.dx)
+            ly = _eigenvalues_1d(np.arange(self.ny), self.ny, self.dy)
             lam = lx[:, None] + ly[None, :]
             lam.flags.writeable = False
             object.__setattr__(self, "_laplacian_eigenvalues", lam)
@@ -162,20 +168,18 @@ class MacVelocity:
         return out
 
     def max_speed(self) -> float:
-        mu = float(np.max(np.abs(self.u))) if self.u.size else 0.0
-        mv = float(np.max(np.abs(self.v))) if self.v.size else 0.0
-        return max(mu, mv)
+        return max(float(np.max(np.abs(self.u))), float(np.max(np.abs(self.v))))
 
 
-def dct2_transform(values: np.ndarray) -> np.ndarray:
-    """Forward cosine transform; coefficient (0, 0) equals nx*ny*mean(field).
+def dct2_transform(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Forward cosine transform, into `out` when given; coefficient (0, 0) is nx*ny*mean.
 
     Normalization: pocketfft's unnormalized DCT-II, called as `scipy.fft.dctn`
     calls it, divided by 4, fixed so that constants map to the single (0, 0)
     coefficient with the documented scale. The input is not checked: NaN and
     inf carry through to the coefficients.
     """
-    coeffs = _pfft.dct(values, 2, (0, 1), 0, None, 1)
+    coeffs = _pfft.dct(values, 2, (0, 1), 0, out, 1)
     coeffs /= 4.0
     return coeffs
 
@@ -220,6 +224,34 @@ def helmholtz_solve(grid: Grid, alpha: float, beta: float, rhs: np.ndarray) -> n
     coeffs = dct2_transform(rhs)
     coeffs /= _helmholtz_denominator(grid, alpha, beta)
     return dct2_inverse(coeffs)
+
+
+@functools.lru_cache(maxsize=16)
+def _sine_denominators(grid: Grid, alpha: float, nu: float) -> tuple[np.ndarray, np.ndarray]:
+    """alpha + nu * lambda for the no-slip solves, with lambda the eigenvalues of
+    -Delta on the interior x-faces (sine-I in x, sine-II in y) and on the
+    interior y-faces (sine-II in x, sine-I in y).
+
+    Built once per (grid, alpha, nu), i.e. once per run, and returned read-only.
+    """
+    lx = _eigenvalues_1d(np.arange(1, grid.nx + 1), grid.nx, grid.dx)
+    ly = _eigenvalues_1d(np.arange(1, grid.ny + 1), grid.ny, grid.dy)
+    den_u = alpha + nu * (lx[:-1, None] + ly[None, :])
+    den_v = alpha + nu * (lx[:, None] + ly[None, :-1])
+    den_u.flags.writeable = False
+    den_v.flags.writeable = False
+    return den_u, den_v
+
+
+def _implicit_solve(den: np.ndarray, sine1_axis: int, rhs_int: np.ndarray) -> np.ndarray:
+    """(alpha - nu Delta) on one face set, `den` its `_sine_denominators` entry: sine-I
+    along `sine1_axis`, sine-II along the other, which the inverse transforms first."""
+    types = (1, 2) if sine1_axis == 0 else (2, 1)
+    chat = _pfft.dst(rhs_int, types[0], (0,), 0, None, 1)
+    _pfft.dst(chat, types[1], (1,), 0, chat, 1)
+    chat /= den
+    _pfft.dst(chat, 3, (1 - sine1_axis,), 2, chat, 1)  # idst type 2
+    return _pfft.dst(chat, 1, (sine1_axis,), 2, chat, 1)  # idst type 1
 
 
 def _along(values: np.ndarray, axis: int, start: int | None, stop: int | None) -> np.ndarray:

@@ -342,7 +342,6 @@ def sample_kernel(mollifier: Mollifier, epsilon: float, grid: Grid) -> KernelGri
     in_ring = np.maximum(mi[:, None], mj[None, :]) <= ring
     on_edge = edge_avg & (R + half_diag > epsilon)
     avg = inside & (in_ring | on_edge)
-    quadrant[~inside] = 0.0
     quadrant[avg] = _cell_averages(mollifier, epsilon, ZX[avg], ZY[avg], dx, dy, floor)
 
     # the index sets {m, -m} mod 2n of distinct m in [0, n] are disjoint

@@ -49,7 +49,9 @@ from .grid import (
     Grid,
     MacVelocity,
     _along,
-    _pfft,
+    _helmholtz_denominator,
+    _implicit_solve,
+    _sine_denominators,
     centers_to_faces,
     dct2_inverse,
     dct2_transform,
@@ -328,7 +330,8 @@ def step_ch(
         explicit = model.potential.eta_f * model.potential.df(phi) + model.material.l_c * theta
         rhs = phi / dt - adv + laplacian_neumann(g, explicit - S * phi)
         lam = g.laplacian_eigenvalues()
-        coeffs = dct2_transform(rhs) / (1.0 / dt + S * lam + lam**2)
+        coeffs = dct2_transform(rhs)
+        coeffs /= _helmholtz_denominator(g, 1.0 / dt, S) + lam**2
         phi_next = dct2_inverse(coeffs)
         mu_half = -laplacian_neumann(g, phi_next) + explicit + S * (phi_next - phi)
     return phi_next, mu_half
@@ -350,38 +353,6 @@ def step_heat(
 
     rhs = h / dt - adv + terms.g_dot_u + (z if z is not None else 0.0) + mat.l_h * phi_next / dt
     return helmholtz_solve(g, 1.0 / dt, mat.kappa, rhs)
-
-
-@functools.lru_cache(maxsize=16)
-def _sine_denominators(grid: Grid, alpha: float, nu: float) -> tuple[np.ndarray, np.ndarray]:
-    """alpha + nu * lambda for the no-slip solves, with lambda the eigenvalues of
-    -Delta on the interior x-faces (sine-I in x, sine-II in y) and on the
-    interior y-faces (sine-II in x, sine-I in y).
-
-    Built once per (grid, alpha, nu), i.e. once per run, and returned read-only.
-    """
-
-    def eigs(n: int, d: float, count: int) -> np.ndarray:
-        k = np.arange(count) + 1
-        return (2.0 / d**2) * (1.0 - np.cos(np.pi * k / n))
-
-    nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
-    den_u = alpha + nu * (eigs(nx, dx, nx - 1)[:, None] + eigs(ny, dy, ny)[None, :])
-    den_v = alpha + nu * (eigs(nx, dx, nx)[:, None] + eigs(ny, dy, ny - 1)[None, :])
-    den_u.flags.writeable = False
-    den_v.flags.writeable = False
-    return den_u, den_v
-
-
-def _implicit_solve(den: np.ndarray, sine1_axis: int, rhs_int: np.ndarray) -> np.ndarray:
-    """(alpha - nu Delta) on one face set, `den` its `_sine_denominators` entry: sine-I
-    along `sine1_axis`, sine-II along the other, which the inverse transforms first."""
-    types = (1, 2) if sine1_axis == 0 else (2, 1)
-    chat = _pfft.dst(rhs_int, types[0], (0,), 0, None, 1)
-    _pfft.dst(chat, types[1], (1,), 0, chat, 1)
-    chat /= den
-    _pfft.dst(chat, 3, (1 - sine1_axis,), 2, chat, 1)  # idst type 2
-    return _pfft.dst(chat, 1, (sine1_axis,), 2, chat, 1)  # idst type 1
 
 
 def momentum_advection(grid: Grid, vel: MacVelocity) -> tuple[np.ndarray, np.ndarray]:
@@ -455,26 +426,17 @@ def korteweg_force(
     return tuple(forces)
 
 
-@functools.lru_cache(maxsize=16)
-def _projection_eigenvalues(grid: Grid) -> np.ndarray:
-    """`laplacian_eigenvalues` with the zero (0, 0) entry set to 1; read-only."""
-    lam_safe = grid.laplacian_eigenvalues().copy()
-    lam_safe[0, 0] = 1.0
-    lam_safe.flags.writeable = False
-    return lam_safe
-
-
 def project(grid: Grid, vel: MacVelocity) -> MacVelocity:
     """Remove the discrete gradient part: u - grad psi with Delta_N psi = div u.
 
     Returns a new velocity; `vel` is left unchanged.
     """
-    # dct2_transform, run in place on the divergence that only this call holds
     div = vel.divergence()
-    coeffs = _pfft.dct(div, 2, (0, 1), 0, div, 1)
-    coeffs /= 4.0
+    coeffs = dct2_transform(div, out=div)  # in place: only this call holds div
     np.negative(coeffs, out=coeffs)
-    coeffs /= _projection_eigenvalues(grid)
+    lam = grid.laplacian_eigenvalues()
+    coeffs[0, 1:] /= lam[0, 1:]  # every mode but the constant one, whose lambda is 0
+    coeffs[1:] /= lam[1:]
     coeffs[0, 0] = 0.0
     psi = dct2_inverse(coeffs)
     del coeffs
@@ -601,6 +563,10 @@ def _ledger_row(
     )
     work_sum = sum(works.values())
     resid = energy_budget_residual(e_prev, energy, diss, work_sum, dt)
+    scratch = mat.l_h * state_next.phi  # one array for mean_h, then max_div_u
+    mean_h = float(np.mean(np.subtract(state_next.theta, scratch, out=scratch)))
+    max_div_u = float(np.abs(np.add(dxx, dyy, out=scratch), out=scratch).max())
+    del scratch  # before `max_u`, which may make |u|
     return {
         "t": state_next.t,
         "E_total": energy,
@@ -611,8 +577,8 @@ def _ledger_row(
         "dissipation": diss,
         "residual": resid,
         "mass_phi": terms.mass_phi,
-        "mean_h": float(np.mean(state_next.theta - mat.l_h * state_next.phi)),
-        "max_div_u": float(np.abs(dxx + dyy).max()),
+        "mean_h": mean_h,
+        "max_div_u": max_div_u,
         "max_u": terms.max_u,
         "dt_used": dt,
         **works,

@@ -22,7 +22,7 @@ import nlchb.grid
 from nlchb.cli import main
 from nlchb.grid import MacVelocity, dct2_inverse, dct2_transform, face_difference, make_grid
 from nlchb.kernel import calibrate_mollifier, convolve, sample_kernel
-from nlchb.solver import _implicit_solve, _projection_eigenvalues, _sine_denominators, project
+from nlchb.solver import _implicit_solve, _sine_denominators, project
 
 from test_cli import FAST_RUN, write_cfg
 
@@ -52,7 +52,9 @@ def scipy_project(grid, vel):
     coeffs = sfft.dctn(vel.divergence(), type=2, overwrite_x=True)
     coeffs /= 4.0
     np.negative(coeffs, out=coeffs)
-    coeffs /= _projection_eigenvalues(grid)
+    lam_safe = grid.laplacian_eigenvalues().copy()
+    lam_safe[0, 0] = 1.0
+    coeffs /= lam_safe
     coeffs[0, 0] = 0.0
     psi = scipy_dct2_inverse(coeffs)
     out = vel.copy()
