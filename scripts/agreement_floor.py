@@ -18,10 +18,18 @@ relative to the shipped run's value: of the phi, theta and u L2 norms, of
 the L2 distance of each field (which bounds the change of its norm), and of
 the final ledger row's E_total. A row of zeros means the perturbation left
 every end-state bit of that quantity unchanged.
+
+Then it runs acceptance criterion 12, the eps sweep (`solution_sweep` at 64^2
+with eps 0.2/0.1/0.05 and t_end 0.5, called as tests/test_acceptance.py calls
+it), as shipped, with AVX-512 off and under c_eta +-1 ulp. For each it prints
+the seven columns and the relative drop (a - b) / a of each column the test
+checks between neighbouring eps. The test passes while every such drop is
+positive, so the smallest one is the margin a rounding change may take.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
 import platform
@@ -33,23 +41,30 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import scipy  # noqa: E402
 
 import nlchb.solver  # noqa: E402
+from conftest import spinodal_material, spinodal_potential, spinodal_state  # noqa: E402
 from nlchb.config import parse_config  # noqa: E402
 from nlchb.energy import EnergyLedger  # noqa: E402
+from nlchb.grid import make_grid  # noqa: E402
+from nlchb.limits import solution_sweep  # noqa: E402
 from nlchb.solver import Model, integrate, suggest_dt  # noqa: E402
 
 CONFIGS = ("spinodal", "convection")
 NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+SWEEP_EPS = (0.2, 0.1, 0.05)
+SWEEP_COLUMNS = ("dist_phi", "dist_theta", "dist_u", "end_dist_phi", "end_dist_theta",
+                 "end_dist_u", "energy_gap")
+SWEEP_CHECKED = ("dist_phi", "dist_theta", "dist_u", "energy_gap")
 
 
-def end_state(name: str, phi_ulp: tuple[int, int] | None = None, c_eta_ulp: int = 0) -> dict:
-    """The end fields and final E_total of configs/<name>.cfg, run as `nlchb run` steps it."""
-    path = ROOT / "configs" / f"{name}.cfg"
-    config = parse_config(path.read_text(), base_dir=str(path.parent))
+@contextlib.contextmanager
+def c_eta_moved(c_eta_ulp: int):
+    """Model builds inside see the calibrated c_eta one ulp up (`c_eta_ulp` > 0),
+    one ulp down (< 0) or as calibrated (0)."""
     raw = nlchb.solver.calibrate_mollifier
 
     def moved(*args, **kwargs):
@@ -58,9 +73,17 @@ def end_state(name: str, phi_ulp: tuple[int, int] | None = None, c_eta_ulp: int 
 
     nlchb.solver.calibrate_mollifier = moved if c_eta_ulp else raw
     try:
-        model = Model.build(config)
+        yield
     finally:
         nlchb.solver.calibrate_mollifier = raw
+
+
+def end_state(name: str, phi_ulp: tuple[int, int] | None = None, c_eta_ulp: int = 0) -> dict:
+    """The end fields and final E_total of configs/<name>.cfg, run as `nlchb run` steps it."""
+    path = ROOT / "configs" / f"{name}.cfg"
+    config = parse_config(path.read_text(), base_dir=str(path.parent))
+    with c_eta_moved(c_eta_ulp):
+        model = Model.build(config)
     state = config.initial_state()
     if phi_ulp is not None:
         state.phi[phi_ulp] = np.nextafter(state.phi[phi_ulp], np.inf)
@@ -80,9 +103,18 @@ def end_state(name: str, phi_ulp: tuple[int, int] | None = None, c_eta_ulp: int 
     }
 
 
+def sweep_columns(c_eta_ulp: int = 0) -> dict:
+    """Criterion 12's sweep columns, one value per eps (NaN for a diverged member)."""
+    grid = make_grid(64, 64, 1.0, 1.0)
+    with c_eta_moved(c_eta_ulp):
+        report = solution_sweep(grid, spinodal_potential(), spinodal_material(),
+                                spinodal_state(grid), list(SWEEP_EPS), gamma=0.5, t_end=0.5)
+    return {name: np.array(report.columns[name]) for name in SWEEP_COLUMNS}
+
+
 def child_end_state(name: str) -> dict | str:
-    """`end_state(name)` from a child process with numpy's AVX-512 paths off,
-    or the child's last error line."""
+    """`end_state(name)`, or `sweep_columns()` for name "sweep", from a child
+    process with numpy's AVX-512 paths off, or the child's last error line."""
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "end.npz")
         env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=NO_AVX512)
@@ -117,9 +149,33 @@ def cpu_line() -> str:
     return "numpy CPU features: " + " ".join(f"{n}={'yes' if features.get(n) else 'no'}" for n in names)
 
 
+def print_sweep(label: str, columns: dict | str) -> None:
+    """The sweep's columns and the relative drops of the checked ones."""
+    if isinstance(columns, str):
+        print(f"\n{label}: not run: {columns}")
+        return
+    print(f"\n{label}")
+    print(f"{'eps':<18}" + "".join(f"{c:>15}" for c in SWEEP_COLUMNS))
+    for i, eps in enumerate(SWEEP_EPS):
+        print(f"{eps!r:<18}" + "".join(f"{columns[c][i]:>15.7g}" for c in SWEEP_COLUMNS))
+    drops = []
+    for i in range(len(SWEEP_EPS) - 1):
+        pair = f"{SWEEP_EPS[i]!r} -> {SWEEP_EPS[i + 1]!r}"
+        row = {}
+        for c in SWEEP_CHECKED:
+            a, b = columns[c][i], columns[c][i + 1]
+            row[c] = (a - b) / a
+            drops.append((row[c], c, pair))
+        print(f"{'drop ' + pair:<18}" + "".join(
+            f"{f'{100.0 * row[c]:.3f}%' if c in row else '':>15}" for c in SWEEP_COLUMNS))
+    low, column, pair = min(drops, key=lambda d: d[0] if np.isfinite(d[0]) else -np.inf)
+    print(f"smallest checked drop: {100.0 * low:.3f}% ({column}, eps {pair})")
+
+
 def main() -> None:
     if sys.argv[1:2] == ["--child"]:
-        np.savez(sys.argv[3], **end_state(sys.argv[2]))
+        name, out = sys.argv[2:4]
+        np.savez(out, **(sweep_columns() if name == "sweep" else end_state(name)))
         return
     columns = ("phi", "theta", "u", "d_phi", "d_theta", "d_u", "E_total")
     print("# python3 scripts/agreement_floor.py")
@@ -144,6 +200,14 @@ def main() -> None:
                 print(f"{label:<18}  not run: {other}")
                 continue
             print(f"{label:<18}" + "".join(f"{x:>10.1e}" for x in spread(base, other)))
+
+    print("\ncriterion 12: solution_sweep at 64x64, eps " + "/".join(map(repr, SWEEP_EPS))
+          + ", t_end 0.5, as tests/test_acceptance.py calls it;")
+    print("# drop a -> b is (a - b) / a of each checked column; the test needs every drop > 0")
+    print_sweep("shipped", sweep_columns())
+    print_sweep("no AVX-512", child_end_state("sweep"))
+    print_sweep("c_eta +1ulp", sweep_columns(c_eta_ulp=1))
+    print_sweep("c_eta -1ulp", sweep_columns(c_eta_ulp=-1))
 
 
 if __name__ == "__main__":

@@ -276,9 +276,9 @@ def work_terms(
 
     Returns the four named contributions; each already carries 1/(K l_c) (the
     momentum pair) or 1/l_h (the heat pair). `buoy` is the buoyancy of the state
-    and `g_dot_u` is g . u at the cell centers. With zero gravity both are
-    identically zero (`buoy` is None), and `work_buoy` and `work_gu` stay 0.0
-    without being summed.
+    and `g_dot_u` is g . u at the cell centers. When `buoy` is None (the
+    caller's sign of zero gravity) the buoyancy pair is skipped: `work_buoy`
+    and `work_gu` stay 0.0 without being summed.
     """
     kl = material.K_cap * material.l_c
     out = {"work_q": 0.0, "work_buoy": 0.0, "work_z": 0.0, "work_gu": 0.0}
@@ -290,7 +290,7 @@ def work_terms(
     if z_centers is not None:
         out["work_z"] = float(np.sum(z_centers * theta) * grid.cell_area) / material.l_h
 
-    if any(material.g):
+    if buoy is not None:
         bx, by = buoy
         out["work_buoy"] = float((np.sum(bx * vel.u) + np.sum(by * vel.v)) * grid.cell_area) / kl
         out["work_gu"] = float(np.sum(g_dot_u * theta) * grid.cell_area) / material.l_h

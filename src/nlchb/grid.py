@@ -168,7 +168,10 @@ class MacVelocity:
         return out
 
     def max_speed(self) -> float:
-        return max(float(np.max(np.abs(self.u))), float(np.max(np.abs(self.v))))
+        """max |u| over both face arrays of a finite velocity (`advance` checks
+        that before the ledger row reads it), +0.0 at rest, with no |u| array."""
+        u, v = self.u, self.v
+        return float(max(u.max(), -u.min(), v.max(), -v.min())) + 0.0
 
 
 def dct2_transform(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -198,7 +198,7 @@ class LedgerCsvWriter(EnergyLedger):
             self._fh.write(",".join(LEDGER_COLUMNS) + "\n")
 
     def write_row(self, row: dict) -> None:
-        self._fh.write(",".join(repr(float(row[c])) for c in LEDGER_COLUMNS) + "\n")
+        self._fh.write(",".join(repr(row[c]) for c in LEDGER_COLUMNS) + "\n")
 
     def close(self) -> None:
         self._fh.close()

@@ -108,7 +108,7 @@ class SimState:
     The terms derived from a state (mu, E, the viscous parts, ...) are not
     fields: each is computed the first time a model's step or ledger reads
     it, and kept for later reads under that model (see `_Terms`). The scalar
-    terms (E, the interface energy, the energy integrals, max |u|) outlive a
+    terms (E, the interface energy, the energy integrals, the mass) outlive a
     step from the state; its grid arrays (mu, g . u, the viscous parts) are
     dropped after their last reader in that step, and a later
     read computes them again, bit for bit. A read under another model, or
@@ -225,7 +225,7 @@ class _Terms:
     names, so perfbench's wrappers see every call. The memo holds the state's
     arrays, not the state, so it makes no reference cycle.
 
-    Who holds what: the scalars (`energy`, `interface`, `integrals`, `max_u`,
+    Who holds what: the scalars (`energy`, `interface`, `integrals`,
     `mass_phi`) stay for the life of the state. A step drops the grid arrays
     of its start state after their last reader: `advance` drops `mu` after
     `step_ch` and `g_dot_u` after `step_heat`, and `step_ns` drops `viscous`
@@ -286,10 +286,6 @@ class _Terms:
         return gx * face_average(self.vel.u, 0) + gy * face_average(self.vel.v, 1)
 
     @functools.cached_property
-    def max_u(self) -> float:
-        return self.vel.max_speed()
-
-    @functools.cached_property
     def mass_phi(self) -> float:
         """The integral of phi: the ledger's `mass_phi` and the mass invariant."""
         return float(self.phi.sum() * self.model.grid.cell_area)
@@ -318,11 +314,10 @@ def step_ch(
     g = model.grid
     S = model.stabilization
     phi, theta = state.phi, state.theta
-    terms = _terms(model, state)
-    adv = advect_scalar(g, state.vel, phi) if terms.max_u > 0.0 else 0.0
+    adv = advect_scalar(g, state.vel, phi)
 
     if model.mode == "nonlocal":
-        mu_n = terms.mu
+        mu_n = _terms(model, state).mu
         rhs = phi / dt - adv + laplacian_neumann(g, mu_n - S * phi)
         phi_next = helmholtz_solve(g, 1.0 / dt, S, rhs)
         mu_half = mu_n + S * (phi_next - phi)
@@ -349,7 +344,7 @@ def step_heat(
     mat = model.material
     terms = _terms(model, state)
     h = state.theta - mat.l_h * state.phi
-    adv = advect_scalar(g, state.vel, h) if terms.max_u > 0.0 else 0.0
+    adv = advect_scalar(g, state.vel, h)
 
     rhs = h / dt - adv + terms.g_dot_u + (z if z is not None else 0.0) + mat.l_h * phi_next / dt
     return helmholtz_solve(g, 1.0 / dt, mat.kappa, rhs)
@@ -465,33 +460,31 @@ def step_ns(
     before the viscous solve (and the result projected again after
     it), so purely gradient forces such as a uniform buoyancy on a constant
     state leave a resting fluid exactly at rest. `buoy` is
-    buoyancy(phi_next, theta_next). With zero gravity the buoyancy is
-    identically zero, `buoy` is None and nothing is added.
+    buoyancy(phi_next, theta_next), or None with zero gravity (see
+    `advance`), and a None `buoy` adds nothing.
     """
     g = model.grid
     mat = model.material
     vel = state.vel
     terms = _terms(model, state)
-    moving = terms.max_u > 0.0
     rem = None
-    if moving and mat.nu_max > mat.nu_min:
+    if mat.nu_max > mat.nu_min:
         rem = viscous_remainder(g, terms.viscous, mat.nu_bar)
     terms.drop("viscous")  # after its one reader
-    adv = momentum_advection(g, vel) if moving else None
+    adv = momentum_advection(g, vel)
 
     rhs = MacVelocity(g)
     inner = [_along(w, axis, 1, -1) for axis, w in enumerate((rhs.u, rhs.v))]
     for axis, (w, w_old) in enumerate(zip(inner, (vel.u, vel.v))):
         np.divide(_along(w_old, axis, 1, -1), dt, out=w)
-        if adv is not None:
-            w -= adv[axis]
+        w -= adv[axis]
         if rem is not None:
             w += rem[axis]
     del adv, rem
 
     force = korteweg_force(g, mat, mu_half, theta_next, phi_next)
     for axis, (w, f) in enumerate(zip(inner, force)):
-        if any(mat.g):
+        if buoy is not None:
             f += _along(buoy[axis], axis, 1, -1)
         w += f
         if q is not None:
@@ -566,7 +559,6 @@ def _ledger_row(
     scratch = mat.l_h * state_next.phi  # one array for mean_h, then max_div_u
     mean_h = float(np.mean(np.subtract(state_next.theta, scratch, out=scratch)))
     max_div_u = float(np.abs(np.add(dxx, dyy, out=scratch), out=scratch).max())
-    del scratch  # before `max_u`, which may make |u|
     return {
         "t": state_next.t,
         "E_total": energy,
@@ -579,7 +571,7 @@ def _ledger_row(
         "mass_phi": terms.mass_phi,
         "mean_h": mean_h,
         "max_div_u": max_div_u,
-        "max_u": terms.max_u,
+        "max_u": state_next.vel.max_speed(),
         "dt_used": dt,
         **works,
     }
@@ -617,6 +609,7 @@ def advance(
     terms.drop("mu")
     theta_next = step_heat(model, state, phi_next, dt, forcing.z)
     terms.drop("g_dot_u")
+    # zero gravity leaves `buoy` None, which `step_ns` and the ledger row skip
     buoy = buoyancy(g, mat, phi_next, theta_next) if any(mat.g) else None
     vel_next = step_ns(model, state, phi_next, theta_next, mu_half, dt, forcing.q, buoy)
     del mu_half

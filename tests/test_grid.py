@@ -238,3 +238,25 @@ class TestMacVelocity:
         g = make_grid(8, 8, 1.0, 1.0)
         vel = MacVelocity(g)
         assert np.abs(vel.divergence()).max() == 0.0
+
+    @pytest.mark.parametrize("shape", [(8, 8), (9, 13), (64, 64)])
+    def test_max_speed_has_the_bits_of_the_abs_maximum(self, shape):
+        g = make_grid(shape[0], shape[1], 1.0, 1.0)
+        rng = np.random.default_rng(7)
+        for scale in (1e-8, 1.0, 1e3):
+            for su, sv in ((1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (0.1, 10.0), (10.0, -0.1)):
+                u = su * scale * rng.standard_normal((g.nx + 1, g.ny))
+                v = sv * scale * rng.standard_normal((g.nx, g.ny + 1))
+                vel = MacVelocity(g, u, v)
+                expected = max(np.abs(vel.u).max(), np.abs(vel.v).max())
+                assert np.float64(vel.max_speed()).tobytes() == np.float64(expected).tobytes()
+
+    def test_max_speed_at_rest_is_plus_zero(self):
+        g = make_grid(8, 8, 1.0, 1.0)
+        interior = MacVelocity(g, np.full((9, 8), -0.0), np.full((8, 9), -0.0))
+        assert np.signbit(interior.u[1:-1]).all() and np.signbit(interior.v[:, 1:-1]).all()
+        everywhere = MacVelocity(g)
+        everywhere.u[...] = everywhere.v[...] = -0.0  # wall faces included
+        for vel in (MacVelocity(g), interior, everywhere):
+            speed = vel.max_speed()
+            assert speed == 0.0 and not np.signbit(speed)

@@ -18,6 +18,7 @@ import nlchb.energy
 import nlchb.grid
 import nlchb.physics
 import nlchb.solver
+from nlchb.config import parse_config
 from nlchb.energy import EnergyLedger, _corner_weights, _nu_at_corners
 from nlchb.grid import (
     MacVelocity,
@@ -45,6 +46,7 @@ from nlchb.solver import (
     step_ch,
     step_heat,
     step_ns,
+    suggest_dt,
 )
 
 SHAPES = [(9, 13), (16, 24), (33, 17), (64, 64)]
@@ -392,6 +394,88 @@ class TestSameBitsAsOracle:
             assert_same_bits(_nu_at_corners(g, nu), oracle_nu_at_corners(g, nu))
 
 
+# ------------------------------------------------ a step from a fluid at rest
+
+REST_CONFIG = """
+[grid]
+nx = 16
+ny = 12
+ly = 0.75
+[physics]
+kappa = 0.2
+nu_min = 0.05
+nu_max = {nu_max}
+alpha1 = 0.1
+alpha2 = 1.0
+g_y = {g_y}
+[kernel]
+mode = {mode}
+epsilon = 0.3
+[initial]
+phi_preset = {preset}
+phi_amplitude = 0.4
+phi_value = 0.3
+[forcing]
+z_preset = single_mode
+z_amplitude = 2.0
+"""
+
+
+def use_at_rest_shortcut(monkeypatch):
+    """The path a step from a resting fluid used to take: no scalar advection,
+    no momentum advection and no viscous remainder. Each is patched to return
+    +0.0 arrays, which leave every bit of a right-hand side whose velocity
+    part is +0.0 as it was without the term."""
+
+    def no_scalar_advection(grid, vel, c):
+        return np.zeros(grid.shape)
+
+    def no_face_term(grid, *args):
+        return np.zeros((grid.nx - 1, grid.ny)), np.zeros((grid.nx, grid.ny - 1))
+
+    for raw, zero in [
+        (nlchb.solver.advect_scalar, no_scalar_advection),
+        (nlchb.solver.momentum_advection, no_face_term),
+        (nlchb.solver.viscous_remainder, no_face_term),
+    ]:
+        patch_everywhere(monkeypatch, raw, zero)
+
+
+@pytest.mark.parametrize("ledgered", [False, True], ids=["unledgered", "ledgered"])
+@pytest.mark.parametrize("g_y", [0.0, -5.0], ids=["no_gravity", "gravity"])
+@pytest.mark.parametrize("nu_max", [0.05, 0.2], ids=["constant_nu", "variable_nu"])
+@pytest.mark.parametrize("mode", ["nonlocal", "local"])
+@pytest.mark.parametrize("preset", ["spinodal", "random", "constant"])
+def test_step_from_rest_has_the_bits_of_the_at_rest_shortcut(
+    monkeypatch, preset, mode, nu_max, g_y, ledgered
+):
+    # every step runs the advection and the viscous remainder, also from rest,
+    # where they are zero: the fields and the ledger row keep the bits of the
+    # shortcut that skipped them
+    config = parse_config(REST_CONFIG.format(preset=preset, mode=mode, nu_max=nu_max, g_y=g_y))
+    model = Model.build(config)
+    start = config.initial_state()
+    assert not np.signbit(start.vel.u).any() and not np.signbit(start.vel.v).any()
+    assert start.vel.max_speed() == 0.0
+    dt = suggest_dt(model, start, config.safety)
+    runs = []
+    for shortcut in (False, True):
+        if shortcut:
+            use_at_rest_shortcut(monkeypatch)
+        ledger = EnergyLedger() if ledgered else None
+        runs.append((advance(model, start.copy(), dt, config.forcing(), ledger), ledger))
+    (new, new_ledger), (old, old_ledger) = runs
+    assert new.vel.max_speed() > 0.0 or preset == "constant" and g_y == 0.0
+    for a, b in [(new.phi, old.phi), (new.theta, old.theta), (new.vel.u, old.vel.u),
+                 (new.vel.v, old.vel.v)]:
+        assert_same_bits(a, b)
+    if ledgered:
+        (row_new,), (row_old,) = new_ledger.rows, old_ledger.rows
+        assert row_new.keys() == row_old.keys()
+        for key in row_new:
+            assert_same_bits(np.float64(row_new[key]), np.float64(row_old[key]))
+
+
 def test_cached_arrays_are_read_only():
     g = make_grid(9, 13, 1.0, 1.3)
     arrays = [
@@ -470,22 +554,21 @@ def count_max_speed(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("ledgered", [False, True])
-def test_max_speed_once_per_step(grid32, monkeypatch, ledgered):
+@pytest.mark.parametrize("ledgered, per_step", [(False, 0), (True, 1)])
+def test_max_speed_read_only_by_the_ledger_row(grid32, monkeypatch, ledgered, per_step):
+    # no step reads max |u|: the ledger row reads it once, of the new state
     model = flow_model(grid32, (0.3, -1.0))
     forcing = Forcing(z=np.full(grid32.shape, 0.1))
     ledger = EnergyLedger() if ledgered else None
     state = advance(model, smooth_flow_state(grid32), 5e-4, forcing, ledger)
-    assert state.vel.max_speed() > 0.0
     calls = count_max_speed(monkeypatch)
     for k in range(1, 4):
-        previous = state
         state = advance(model, state, 5e-4, forcing, ledger)
-        assert len(calls) == k
-        # read by the ledger row of the new state, else by the step from the old one
-        assert calls[-1] is (state.vel if ledgered else previous.vel)
+        assert len(calls) == per_step * k
+        if ledgered:
+            assert calls[-1] is state.vel
     if ledgered:
-        assert ledger.rows[-1]["max_u"] == state.vel.max_speed()
+        assert ledger.rows[-1]["max_u"] == state.vel.max_speed() > 0.0
 
 
 @pytest.mark.parametrize("ledgered, per_step", [(False, 2), (True, 2)])
@@ -515,7 +598,7 @@ def test_released_terms_read_again_with_the_same_bits(grid32, ledgered):
               ledger=EnergyLedger() if ledgered else None)
     held = _terms(model, state).__dict__
     assert not {"j_phi", "mu", "g_dot_u", "viscous"} & set(held)
-    assert {"energy", "interface", "integrals", "max_u"} <= set(held)
+    assert {"energy", "interface", "integrals"} <= set(held)
 
     fresh = state.copy()
     assert np.float64(model.total_energy(state)).tobytes() == np.float64(energy).tobytes()
