@@ -11,7 +11,9 @@ to its own directory under OUTDIR (which must not exist yet):
   * `gamma-sweep configs/spinodal.cfg --eps 0.2,0.1,0.05`;
   * `validate` on configs/spinodal.cfg and configs/convection.cfg (stdout only);
   * `resume` from the spinodal run's snapshot_00000200.bin, into a copy of
-    that run's ledger.csv (so the ledger is cut back and appended to).
+    that run's ledger.csv (so the ledger is cut back and appended to);
+  * `oracle` on a 16x16 config written to OUTDIR for the run and removed
+    after it (stdout only).
 
 Prints one `md5  relative-path` line per file written, sorted by path, then
 one `md5  stdout:<command>` line per command, with OUTDIR masked in the text
@@ -38,6 +40,9 @@ from difflib import unified_diff
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# The oracle battery compares with O(N^4) direct sums, so it runs on a small grid.
+ORACLE_CONFIG = "[grid]\nnx = 16\nny = 16\n\n[kernel]\nepsilon = 0.3\ngamma = 0.5\n"
 
 
 def run(name: str, args: list[str], outdir: Path) -> str:
@@ -75,6 +80,10 @@ def digest(outdir: Path) -> list[str]:
     shutil.copy(outdir / "spinodal" / "ledger.csv", outdir / "resume" / "ledger.csv")
     snapshot = outdir / "spinodal" / "snapshot_00000200.bin"
     stdout["resume"] = run("resume", ["resume", str(snapshot)], outdir)
+    oracle_cfg = outdir / "oracle.cfg"
+    oracle_cfg.write_text(ORACLE_CONFIG, encoding="utf-8")
+    stdout["oracle"] = run("oracle", ["oracle", str(oracle_cfg)], outdir)
+    oracle_cfg.unlink()
 
     lines = []
     for path in sorted(p for p in outdir.rglob("*") if p.is_file()):

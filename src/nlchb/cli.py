@@ -172,7 +172,7 @@ def cmd_gamma_sweep(config_path: str, eps_list: list[float]) -> int:
 def cmd_sweep_eps(config_path: str, eps_list: list[float]) -> int:
     config = _load_config(config_path)
     outdir = _output_dir(config)
-    state = config.initial_state()
+    start = [config.initial_state()]  # popped into the sweep, so no name here keeps it
     eps_list = _check_eps_list(eps_list)  # before any member's directory is made
     with contextlib.ExitStack() as stack:
         ledgers = []
@@ -184,7 +184,7 @@ def cmd_sweep_eps(config_path: str, eps_list: list[float]) -> int:
             config.grid,
             config.potential,
             config.material,
-            state,
+            start.pop(),
             eps_list,
             gamma=config.gamma,
             shape_id=config.shape_id,

@@ -19,14 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (
-    Grid,
-    MacVelocity,
-    face_difference,
-    field_integral,
-    gradient_cc,
-    h1_seminorm,
-)
+from .grid import Grid, MacVelocity, _along, _grad_sq, face_difference, field_integral, h1_seminorm
 from .kernel import KernelGrid, convolve
 from .physics import MaterialParams, PotentialParams, viscosity
 
@@ -155,20 +148,15 @@ def mac_deformation(grid: Grid, vel: MacVelocity) -> tuple[np.ndarray, np.ndarra
     """
     dxx = face_difference(vel.u, 0, grid.dx)
     dyy = face_difference(vel.v, 1, grid.dy)
-
-    # du/dy at corners (nx+1, ny+1): ghost u = -u across the wall
-    pad = np.empty((grid.nx + 1, grid.ny + 2))
-    pad[:, 1:-1] = vel.u
-    pad[:, 0] = -vel.u[:, 0]
-    pad[:, -1] = -vel.u[:, -1]
-    dxy = face_difference(pad, 1, grid.dy)
-    del pad
-
-    pad = np.empty((grid.nx + 2, grid.ny + 1))
-    pad[1:-1, :] = vel.v
-    pad[0, :] = -vel.v[0, :]
-    pad[-1, :] = -vel.v[-1, :]
-    dxy += face_difference(pad, 0, grid.dx)
+    # du/dy and dv/dx at the corners (nx+1, ny+1) by one no-slip rule: the
+    # component w tangential to the walls normal to `axis` has the ghost -w
+    shear = []
+    for axis, w, d in ((1, vel.u, grid.dy), (0, vel.v, grid.dx)):
+        pad = np.concatenate((-_along(w, axis, None, 1), w, -_along(w, axis, -1, None)), axis)
+        shear.append(face_difference(pad, axis, d))
+        del pad
+    dxy, dv_dx = shear
+    dxy += dv_dx
     dxy *= 0.5
     return dxx, dyy, dxy
 
@@ -217,15 +205,6 @@ def _viscous_parts(
         return nu, 0.25 * (((nu + nu) + nu) + nu), mac_deformation(grid, vel)
     nu = viscosity(material, phi)
     return nu, _nu_at_corners(grid, nu), mac_deformation(grid, vel)
-
-
-def _grad_sq(grid: Grid, values: np.ndarray) -> float:
-    """int |grad values|^2 of `gradient_cc`, squared and summed in its arrays."""
-    gx, gy = gradient_cc(grid, values)
-    gx *= gx
-    gy *= gy
-    gx += gy
-    return float(np.sum(gx) * grid.cell_area)
 
 
 def dissipation(
@@ -282,17 +261,13 @@ def work_terms(
     """
     kl = material.K_cap * material.l_c
     out = {"work_q": 0.0, "work_buoy": 0.0, "work_z": 0.0, "work_gu": 0.0}
-
-    if q_faces is not None:
-        qx, qy = q_faces
-        out["work_q"] = float((np.sum(qx * vel.u) + np.sum(qy * vel.v)) * grid.cell_area) / kl
-
+    for name, force in (("work_q", q_faces), ("work_buoy", buoy)):
+        if force is not None:  # the power of a face force
+            fx, fy = force
+            out[name] = float((np.sum(fx * vel.u) + np.sum(fy * vel.v)) * grid.cell_area) / kl
     if z_centers is not None:
         out["work_z"] = float(np.sum(z_centers * theta) * grid.cell_area) / material.l_h
-
     if buoy is not None:
-        bx, by = buoy
-        out["work_buoy"] = float((np.sum(bx * vel.u) + np.sum(by * vel.v)) * grid.cell_area) / kl
         out["work_gu"] = float(np.sum(g_dot_u * theta) * grid.cell_area) / material.l_h
     return out
 

@@ -303,11 +303,19 @@ def gradient_cc(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return tuple(grads)
 
 
+def _grad_sq(grid: Grid, values: np.ndarray) -> float:
+    """int |grad values|^2 of `gradient_cc`, squared and summed in its arrays."""
+    gx, gy = gradient_cc(grid, values)
+    gx *= gx
+    gy *= gy
+    gx += gy
+    return float(np.sum(gx) * grid.cell_area)
+
+
 def field_integral(grid: Grid, values: np.ndarray) -> float:
     """Midpoint-rule integral over the domain."""
     return float(values.sum() * grid.cell_area)
 
 
 def h1_seminorm(grid: Grid, values: np.ndarray) -> float:
-    gx, gy = gradient_cc(grid, values)
-    return float(np.sqrt(np.sum(gx * gx + gy * gy) * grid.cell_area))
+    return float(np.sqrt(_grad_sq(grid, values)))

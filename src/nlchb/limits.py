@@ -205,10 +205,12 @@ def solution_sweep(
     # for the phi, theta and u distances
     states: list[SimState | None] = [copy.copy(state0) for _ in eps]
     sums = [[0.0, 0.0, 0.0] for _ in eps]
+    step0, t_stop = state0.step, state0.t + n_steps * dt
+    mass_phi0 = float(state0.phi.sum() * area)
 
     def sample(ref: SimState) -> None:
         """Add the distances at `ref` when its step is on the sampling grid."""
-        i, off = divmod(ref.step - state0.step, sample_every)
+        i, off = divmod(ref.step - step0, sample_every)
         if not off:
             for state, s in zip(states, sums):
                 if state is not None:
@@ -226,8 +228,10 @@ def solution_sweep(
         sample(ref)
 
     sample(state0)
+    start = [state0]  # handed to the reference run, so the members' first steps free it
+    del state0
     try:
-        ref = integrate(ref_model, state0, dt, state0.t + n_steps * dt, on_step=step_members)
+        ref = integrate(ref_model, start.pop(), dt, t_stop, on_step=step_members)
     except BlowUpError as exc:
         raise BlowUpError("local reference run diverged; sweep aborted", exc.state) from exc
 
@@ -270,7 +274,7 @@ def solution_sweep(
             "t_end": n_steps * dt,
             "n_steps": n_steps,
             "sample_every": sample_every,
-            "mass_phi0": float(state0.phi.sum() * area),
+            "mass_phi0": mass_phi0,
         },
         valid=[state is not None for state in states],
     )

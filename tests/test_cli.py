@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import nlchb.cli
+import nlchb.limits
 import nlchb.solver
 from nlchb.cli import main
 from nlchb.config import RunConfig
@@ -455,6 +456,29 @@ class TestStartStateReleased:
         monkeypatch.setattr(nlchb.solver, "advance", advance)
         assert main([command, target]) == 0
         assert len(start_phi) == 1 and alive_at_step_2 == [False]
+
+    def test_sweep_start_phi_is_freed_by_the_members_first_steps(self, tmp_path, monkeypatch):
+        # neither the command nor the sweep keeps the start state, so once
+        # both members have taken their first step nothing holds its fields
+        cfg = write_cfg(tmp_path, FAST_RUN)
+        start_phi, raw_initial = [], RunConfig.initial_state
+
+        def initial_state(config):
+            state = raw_initial(config)
+            start_phi.append(weakref.ref(state.phi))
+            return state
+
+        monkeypatch.setattr(RunConfig, "initial_state", initial_state)
+        raw, alive_at_step_2 = nlchb.limits.advance, []
+
+        def advance(model, state, *args, **kwargs):
+            if state.step == 1:
+                alive_at_step_2.append(start_phi[0]() is not None)
+            return raw(model, state, *args, **kwargs)
+
+        monkeypatch.setattr(nlchb.limits, "advance", advance)
+        assert main(["sweep-eps", cfg, "--eps", "0.4,0.2"]) == 0
+        assert len(start_phi) == 1 and alive_at_step_2 == [False, False]
 
 
 class TestOracle:

@@ -1,6 +1,7 @@
 """Limit-study tests (the full acceptance fixtures run in test_acceptance)."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from conftest import (
     spinodal_state,
 )
 import nlchb.kernel
+import nlchb.limits
 import nlchb.solver
 from nlchb.config import parse_config
 from nlchb.energy import EnergyLedger
@@ -378,6 +380,28 @@ class TestStreamedSweep:
         assert mass0 == pytest.approx(0.2, abs=1e-12)
         for ledger in ledgers:
             assert abs(ledger.rows[0]["mass_phi"] - mass0) <= 1e-12
+
+    def test_start_phi_is_freed_by_the_members_first_steps(self, monkeypatch):
+        # the sweep keeps only the start step and mass and hands the start
+        # state to the reference run, so once every member has taken its
+        # first step nothing holds the start fields
+        grid = sweep_grid()
+        start = [spinodal_state(grid)]
+        start_phi = weakref.ref(start[0].phi)
+        raw, alive_at_step_2 = nlchb.limits.advance, []
+
+        def advance(model, state, *args, **kwargs):
+            if state.step == 1:
+                alive_at_step_2.append(start_phi() is not None)
+            return raw(model, state, *args, **kwargs)
+
+        monkeypatch.setattr(nlchb.limits, "advance", advance)
+        report = solution_sweep(
+            grid, spinodal_potential(), spinodal_material(), start.pop(), [0.5, 0.4],
+            gamma=0.5, dt=1e-3, t_end=3e-3, sample_count=3,
+        )
+        assert report.valid == [True, True]
+        assert alive_at_step_2 == [False, False]
 
     def test_diverged_reference_aborts(self, monkeypatch):
         diverge_after(monkeypatch, 2, "local")

@@ -19,12 +19,14 @@ import nlchb.grid
 import nlchb.physics
 import nlchb.solver
 from nlchb.config import parse_config
-from nlchb.energy import EnergyLedger, _corner_weights, _nu_at_corners
+from nlchb.energy import EnergyLedger, _corner_weights, _nu_at_corners, mac_deformation, work_terms
 from nlchb.grid import (
     MacVelocity,
     _helmholtz_denominator,
     dct2_inverse,
     dct2_transform,
+    gradient_cc,
+    h1_seminorm,
     helmholtz_solve,
     laplacian_neumann,
     make_grid,
@@ -270,6 +272,26 @@ def oracle_mac_deformation(grid, vel):
     return dxx, dyy, 0.5 * (du_dy + dv_dx)
 
 
+def oracle_work_terms(grid, theta, vel, material, q_faces, z_centers, buoy, g_dot_u):
+    kl = material.K_cap * material.l_c
+    out = {"work_q": 0.0, "work_buoy": 0.0, "work_z": 0.0, "work_gu": 0.0}
+    if q_faces is not None:
+        qx, qy = q_faces
+        out["work_q"] = float((np.sum(qx * vel.u) + np.sum(qy * vel.v)) * grid.cell_area) / kl
+    if z_centers is not None:
+        out["work_z"] = float(np.sum(z_centers * theta) * grid.cell_area) / material.l_h
+    if buoy is not None:
+        bx, by = buoy
+        out["work_buoy"] = float((np.sum(bx * vel.u) + np.sum(by * vel.v)) * grid.cell_area) / kl
+        out["work_gu"] = float(np.sum(g_dot_u * theta) * grid.cell_area) / material.l_h
+    return out
+
+
+def oracle_h1_seminorm(grid, values):
+    gx, gy = gradient_cc(grid, values)
+    return float(np.sqrt(np.sum(gx * gx + gy * gy) * grid.cell_area))
+
+
 def use_oracle_stencils(monkeypatch):
     for raw, oracle in [
         (nlchb.grid.MacVelocity.divergence, oracle_divergence),
@@ -381,6 +403,43 @@ class TestSameBitsAsOracle:
             assert row_new.keys() == row_old.keys()
             for key in row_new:
                 assert_same_bits(np.float64(row_new[key]), np.float64(row_old[key]))
+
+    def test_mac_deformation(self, shape):
+        g = self.grid(shape)
+        rng = np.random.default_rng(7)
+        for scale in SCALES:
+            vel = random_vel(g, rng, scale)
+            # -0.0 on the no-penetration walls, next to the no-slip walls and inside
+            vel.u[0] = vel.u[1:-1, 0] = vel.u[2, 3] = -0.0
+            vel.v[:, -1] = vel.v[-1, 1:-1] = vel.v[3, 2] = -0.0
+            for new, old in zip(mac_deformation(g, vel), oracle_mac_deformation(g, vel)):
+                assert_same_bits(new, old)
+
+    @pytest.mark.parametrize("with_q, with_buoy", [(True, False), (False, True), (True, True),
+                                                   (False, False)])
+    def test_work_terms(self, shape, with_q, with_buoy):
+        g = self.grid(shape)
+        mat = MaterialParams(K_cap=0.3, l_c=0.7, l_h=1.3)  # no power of two hides a rounding
+        rng = np.random.default_rng(8)
+        for scale in SCALES:
+            vel = random_vel(g, rng, scale)
+            theta, g_dot_u, z = (scale * rng.standard_normal(g.shape) for _ in range(3))
+            q, buoy = ((rng.standard_normal(vel.u.shape), rng.standard_normal(vel.v.shape))
+                       for _ in range(2))
+            args = (g, theta, vel, mat, q if with_q else None, z,
+                    buoy if with_buoy else None, g_dot_u if with_buoy else 0.0)
+            new, old = work_terms(*args), oracle_work_terms(*args)
+            assert new.keys() == old.keys()
+            for key in new:
+                assert_same_bits(np.float64(new[key]), np.float64(old[key]))
+
+    def test_h1_seminorm(self, shape):
+        g = self.grid(shape)
+        rng = np.random.default_rng(9)
+        for scale in SCALES:
+            values = scale * rng.standard_normal(g.shape)
+            assert_same_bits(np.float64(h1_seminorm(g, values)),
+                             np.float64(oracle_h1_seminorm(g, values)))
 
     def test_corner_weights(self, shape):
         g = self.grid(shape)
