@@ -13,7 +13,10 @@ to its own directory under OUTDIR (which must not exist yet):
   * `resume` from the spinodal run's snapshot_00000200.bin, into a copy of
     that run's ledger.csv (so the ledger is cut back and appended to);
   * `oracle` on a 16x16 config written to OUTDIR for the run and removed
-    after it (stdout only).
+    after it (stdout only);
+  * `run` on a 16x16 config with `phi_preset = random` and a five-word seed
+    (2^130 + 7), written to OUTDIR the same way, so the random preset's draws
+    reach the digest through the real command.
 
 Prints one `md5  relative-path` line per file written, sorted by path, then
 one `md5  stdout:<command>` line per command, with OUTDIR masked in the text
@@ -43,6 +46,11 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # The oracle battery compares with O(N^4) direct sums, so it runs on a small grid.
 ORACLE_CONFIG = "[grid]\nnx = 16\nny = 16\n\n[kernel]\nepsilon = 0.3\ngamma = 0.5\n"
+RANDOM_CONFIG = (
+    "[grid]\nnx = 16\nny = 16\n\n[kernel]\nepsilon = 0.3\n\n"
+    "[solver]\ndt = 1e-4\nt_end = 1e-3\ncadence = 5\n\n[initial]\nphi_preset = random\n\n"
+    "[output]\nwrite_images = false\n\n[run]\nseed = 1361129467683753853853498429727072845831\n"
+)
 
 
 def run(name: str, args: list[str], outdir: Path) -> str:
@@ -80,10 +88,13 @@ def digest(outdir: Path) -> list[str]:
     shutil.copy(outdir / "spinodal" / "ledger.csv", outdir / "resume" / "ledger.csv")
     snapshot = outdir / "spinodal" / "snapshot_00000200.bin"
     stdout["resume"] = run("resume", ["resume", str(snapshot)], outdir)
-    oracle_cfg = outdir / "oracle.cfg"
-    oracle_cfg.write_text(ORACLE_CONFIG, encoding="utf-8")
-    stdout["oracle"] = run("oracle", ["oracle", str(oracle_cfg)], outdir)
-    oracle_cfg.unlink()
+    for key, command, text in (
+        ("oracle", "oracle", ORACLE_CONFIG), ("run-random", "run", RANDOM_CONFIG)
+    ):
+        cfg = outdir / f"{key}.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        stdout[key] = run(key, [command, str(cfg)], outdir)
+        cfg.unlink()
 
     lines = []
     for path in sorted(p for p in outdir.rglob("*") if p.is_file()):

@@ -129,6 +129,69 @@ def _convert(kind: str, raw: str):
     return raw
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _uniform(seed: int, shape: tuple[int, ...]) -> np.ndarray:
+    """numpy's `default_rng(seed).random(shape)` bit for bit, without importing
+    numpy's random package: SeedSequence's pool hash and PCG64's seeding on
+    Python ints, then the PCG64 states s_1..s_n by doubling an affine jump
+    s -> a*s + c (mod 2^128) over uint64 hi/lo arrays, and the XSL-RR output."""
+    words = [seed >> k & _M32 for k in range(0, max(seed.bit_length(), 1), 32)]
+    hc = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hc
+        value ^= hc
+        hc = hc * 0x931E8875 & _M32
+        value = value * hc & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(word) for word in (words + [0, 0, 0])[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hc, out = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ hc
+        hc = hc * 0x58F38DED & _M32
+        value = value * hc & _M32
+        out.append(value ^ value >> 16)
+    s0, s1, i0, i1 = (out[k] | out[k + 1] << 32 for k in range(0, 8, 2))
+    a, c = 0x2360ED051FC65DA44385DF649FCCF645, ((i0 << 64 | i1) << 1 | 1) & _M128
+    state = ((c + (s0 << 64 | s1)) * a + c) * a + c & _M128  # s_1: srandom, then one step
+    n = int(np.prod(shape))
+    hi, lo = np.empty(n, np.uint64), np.empty(n, np.uint64)
+    hi[0], lo[0] = state >> 64, state & _M64
+    m = 1
+    while m < n:  # s_{m+j} = a*s_j + c, with (a, c) the m-step jump
+        k = min(m, n - m)
+        h, l, new_hi, new_lo = hi[:k], lo[:k], hi[m : m + k], lo[m : m + k]
+        a_hi, a_lo, a1, a0, c_lo = (
+            np.uint64(v) for v in (a >> 64, a & _M64, a >> 32 & _M32, a & _M32, c & _M64)
+        )
+        x1, x0 = l >> 32, l & _M32
+        p01, p10 = x0 * a1, x1 * a0
+        np.multiply(l, a_lo, out=new_lo)
+        new_lo += c_lo
+        np.multiply(x1, a1, out=new_hi)  # the high word of l*a_lo, by 32-bit limbs
+        new_hi += (p01 >> 32) + (p10 >> 32) + ((x0 * a0 >> 32) + (p01 & _M32) + (p10 & _M32) >> 32)
+        new_hi += h * a_lo + l * a_hi + np.uint64(c >> 64) + (new_lo < c_lo)
+        m += k
+        a, c = a * a & _M128, (a * c + c) & _M128
+    x, rot = hi ^ lo, hi >> 58
+    x = x >> rot | x << (-rot & 63)
+    return ((x >> 11) * 2.0**-53).reshape(shape)
+
+
 @dataclass(frozen=True, kw_only=True)
 class RunConfig(ModelSpec):
     """Validated run configuration: the model spec (`Model.build(config)`), time
@@ -162,8 +225,7 @@ class RunConfig(ModelSpec):
         elif preset == "constant":
             phi = np.full(g.shape, ini["phi_value"])
         elif preset == "random":
-            rng = np.random.default_rng(self.seed)
-            phi = ini["phi_mean"] + ini["phi_amplitude"] * (rng.random(g.shape) - 0.5)
+            phi = ini["phi_mean"] + ini["phi_amplitude"] * (_uniform(self.seed, g.shape) - 0.5)
             phi -= phi.mean() - ini["phi_mean"]
         else:
             phi = self._from_file(ini, "phi_file").phi

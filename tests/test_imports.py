@@ -8,7 +8,8 @@ tests import `nlchb.cli`, and run its commands, in a child process and check
 which scipy and numpy subpackages they load: nlchb loads scipy's compiled
 pocketfft by file, never the `scipy.fft` package, and calls it as scipy's
 wrappers do; its Gauss table and polynomial derivatives are plain arrays, so
-no command loads `numpy.polynomial` or `numpy.fft`.
+no command loads `numpy.polynomial` or `numpy.fft`. The random preset draws
+numpy's PCG64 stream itself, so `run` and `sweep-eps` load no `numpy.random`.
 """
 
 import ast
@@ -198,3 +199,24 @@ def test_validate_and_run_load_no_numpy_polynomial_or_fft(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[0, 0] []"
+
+
+def test_run_and_sweep_eps_load_no_numpy_random(tmp_path):
+    # the random preset draws numpy's PCG64 stream itself; numpy.random would
+    # add about 6 MiB of peak memory and 10 ms to each command
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "[grid]\nnx = 16\nny = 16\n[kernel]\nepsilon = 0.3\n[solver]\ndt = 1e-4\n"
+        "t_end = 1e-3\ncadence = 5\n[initial]\nphi_preset = random\n"
+        f"[output]\ndirectory = {tmp_path / 'out'}\n"
+    )
+    code = (
+        "import sys, contextlib, io; from nlchb.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(['run', {str(cfg)!r}]),"
+        f" main(['sweep-eps', {str(cfg)!r}, '--eps', '0.4,0.3'])]\n"
+        "print(codes, 'numpy.random' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[0, 0] False"
